@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 using namespace prom;
@@ -32,25 +33,41 @@ DriftDetector::isDriftingBatch(const data::Dataset &Batch) const {
   return Out;
 }
 
-double Verdict::meanCredibility() const {
+/// Mean of one ExpertOpinion field over a committee (0 when empty).
+static double meanOpinion(const std::vector<ExpertOpinion> &Experts,
+                          double ExpertOpinion::*Field) {
   double Sum = 0.0;
   for (const ExpertOpinion &E : Experts)
-    Sum += E.Credibility;
+    Sum += E.*Field;
   return Experts.empty() ? 0.0 : Sum / static_cast<double>(Experts.size());
+}
+
+double Verdict::meanCredibility() const {
+  return meanOpinion(Experts, &ExpertOpinion::Credibility);
 }
 
 double Verdict::meanConfidence() const {
-  double Sum = 0.0;
-  for (const ExpertOpinion &E : Experts)
-    Sum += E.Confidence;
-  return Experts.empty() ? 0.0 : Sum / static_cast<double>(Experts.size());
+  return meanOpinion(Experts, &ExpertOpinion::Confidence);
 }
 
 double RegressionVerdict::meanCredibility() const {
-  double Sum = 0.0;
-  for (const ExpertOpinion &E : Experts)
-    Sum += E.Credibility;
-  return Experts.empty() ? 0.0 : Sum / static_cast<double>(Experts.size());
+  return meanOpinion(Experts, &ExpertOpinion::Credibility);
+}
+
+/// Expert judging rule shared by both detectors: one expert's opinion from
+/// its p-value row over \p NumLabels labels (classes or clusters), read at
+/// the predicted \p Label.
+static ExpertOpinion judgeExpert(const double *PVals, size_t NumLabels,
+                                 int Label, const PromConfig &Cfg) {
+  ExpertOpinion Op;
+  Op.Credibility = PVals[static_cast<size_t>(Label)];
+  for (size_t L = 0; L < NumLabels; ++L)
+    if (PVals[L] > Cfg.Epsilon)
+      ++Op.PredictionSetSize;
+  Op.Confidence = confidenceFromSetSize(Op.PredictionSetSize, Cfg.ConfidenceC);
+  Op.FlagDrift = Op.Credibility < Cfg.credThreshold() &&
+                 Op.Confidence < Cfg.ConfThreshold;
+  return Op;
 }
 
 /// Committee decision rule shared by both detectors: an expert flags drift
@@ -258,20 +275,6 @@ std::vector<double> PromClassifier::pValues(const data::Sample &S,
                                Scorers[Expert]->isDiscrete());
 }
 
-ExpertOpinion PromClassifier::judge(const double *PVals, size_t NumLabels,
-                                    int Predicted) const {
-  ExpertOpinion Op;
-  Op.Credibility = PVals[static_cast<size_t>(Predicted)];
-  for (size_t L = 0; L < NumLabels; ++L)
-    if (PVals[L] > Cfg.Epsilon)
-      ++Op.PredictionSetSize;
-  Op.Confidence = confidenceFromSetSize(Op.PredictionSetSize,
-                                        Cfg.ConfidenceC);
-  Op.FlagDrift = Op.Credibility < Cfg.credThreshold() &&
-                 Op.Confidence < Cfg.ConfThreshold;
-  return Op;
-}
-
 Verdict PromClassifier::assessSerial(const data::Sample &S) const {
   std::shared_ptr<const CalibrationStore> Store = store();
   assert(Store && !Store->empty() && "assess before calibrate");
@@ -289,7 +292,8 @@ Verdict PromClassifier::assessSerial(const data::Sample &S) const {
           Scorers[E]->score(V.Probabilities, static_cast<int>(C));
     std::vector<double> PVals = Store->flat().pValues(
         Sel, E, TestScores, Cfg, Scorers[E]->isDiscrete());
-    V.Experts.push_back(judge(PVals.data(), PVals.size(), V.Predicted));
+    V.Experts.push_back(
+        judgeExpert(PVals.data(), PVals.size(), V.Predicted, Cfg));
   }
   V.Drifted = committeeFlags(V.Experts, Cfg, V.VotesToFlag);
   return V;
@@ -326,8 +330,8 @@ void PromClassifier::assessRange(const CalibrationStore &Store,
     V.Experts.clear();
     V.Experts.reserve(NumExp);
     for (size_t E = 0; E < NumExp; ++E)
-      V.Experts.push_back(
-          judge(PVals.data() + E * NumLabels, NumLabels, V.Predicted));
+      V.Experts.push_back(judgeExpert(PVals.data() + E * NumLabels,
+                                      NumLabels, V.Predicted, Cfg));
     V.Drifted = committeeFlags(V.Experts, Cfg, V.VotesToFlag);
   }
 }
@@ -635,49 +639,25 @@ PromRegressor::PromRegressor(
   assert(!Scorers.empty() && "committee needs at least one expert");
 }
 
-/// k-NN statistics of \p Embed (length Embeds.dim()) against the flat
-/// calibration embedding block, excluding an optional \p SelfIndex. The
-/// neighbour search is one batched kernel scan over the block — or, with
-/// a valid \p Index over it, the lossless cluster-pruned scan (the same
-/// (distance, id) pairs in the same order, so the folds below are
-/// bit-identical; sqrt of the scanned squared distance equals the
-/// euclidean() recompute because the 1xN row fold matches the per-pair
-/// kernel). \p CentDistSq, when non-null, supplies the query's
-/// precomputed index-centroid distances (one row of a batch block).
+/// k-NN statistics of \p Embed (length Embeds.dim()) against the
+/// calibration embedding block, excluding an optional \p SelfIndex: one
+/// exact kNearest scan over the block, neighbours in ascending
+/// (distance, index) order.
 static void knnStats(const support::FeatureMatrix &Embeds,
                      const std::vector<double> &Targets, const double *Embed,
-                     size_t K, long SelfIndex,
-                     const support::ClusterIndex *Index,
-                     const double *CentDistSq, double &MeanTarget,
+                     size_t K, long SelfIndex, double &MeanTarget,
                      double &Spread, double &MeanDist) {
   size_t Want = K + (SelfIndex >= 0 ? 1 : 0);
   std::vector<double> NearTargets;
   std::vector<double> Dists;
-  // Shared harvest of one neighbour (ascending (distance, id) order):
-  // skips the excluded self row, stops once K neighbours are in.
-  auto Take = [&](size_t Idx, double Dist) {
+  for (size_t Idx : support::kNearest(Embeds, Embed, Want)) {
     if (SelfIndex >= 0 && Idx == static_cast<size_t>(SelfIndex))
-      return true;
+      continue;
     if (NearTargets.size() == K)
-      return false;
+      break;
     NearTargets.push_back(Targets[Idx]);
-    Dists.push_back(Dist);
-    return true;
-  };
-  if (Index && Index->valid()) {
-    std::vector<std::pair<double, uint32_t>> Near =
-        CentDistSq
-            ? Index->nearestPrunedFromCentroids(Embed, CentDistSq, Want)
-            : Index->nearestPruned(Embed, Want);
-    for (const std::pair<double, uint32_t> &P : Near)
-      if (!Take(P.second, std::sqrt(P.first)))
-        break;
-  } else {
-    std::vector<size_t> Near = support::kNearest(Embeds, Embed, Want);
-    for (size_t Idx : Near)
-      if (!Take(Idx,
-                support::euclidean(Embeds.rowPtr(Idx), Embed, Embeds.dim())))
-        break;
+    Dists.push_back(
+        support::euclidean(Embeds.rowPtr(Idx), Embed, Embeds.dim()));
   }
   assert(!NearTargets.empty() && "calibration set too small for k-NN");
   MeanTarget = support::mean(NearTargets);
@@ -685,30 +665,23 @@ static void knnStats(const support::FeatureMatrix &Embeds,
   MeanDist = support::mean(Dists);
 }
 
-RegressionScoreInput
-PromRegressor::makeScoreInput(const double *Embed, double Prediction,
-                              const double *KnnCentDists) const {
+RegressionScoreInput PromRegressor::makeScoreInput(const double *Embed,
+                                                   double Prediction) const {
   RegressionScoreInput In;
   In.Prediction = Prediction;
   In.ResidualIqr = ResidualIqr;
-  knnStats(CalibEmbeds, CalibTargets, Embed, Cfg.KnnK, /*SelfIndex=*/-1,
-           &KnnIndex, KnnCentDists, In.ApproxTarget, In.KnnTargetSpread,
+  knnStats(Calib.flat().embedMatrix(), CalibTargets, Embed, Cfg.KnnK,
+           /*SelfIndex=*/-1, In.ApproxTarget, In.KnnTargetSpread,
            In.KnnMeanDistance);
   return In;
 }
 
-/// Seed of the regressor's k-NN ground-truth index: fixed, so calibrating
-/// twice on the same set yields the same index (losslessness makes the
-/// value irrelevant to verdicts — it only shapes the pruning).
-static constexpr uint64_t RegKnnIndexSeed = 0x8D2F4A6E1B97C35Dull;
-
-void PromRegressor::rebuildKnnIndex() {
-  KnnIndex.clear();
-  if (!Cfg.KnnClusterIndex ||
-      CalibEmbeds.rows() < Cfg.ClusterIndexMinEntries)
-    return;
-  KnnIndex.build(CalibEmbeds, 0, CalibEmbeds.rows(),
-                 Cfg.ClusterIndexCentroids, RegKnnIndexSeed);
+/// Pseudo-label of \p Embed: its nearest centroid.
+static int nearestCluster(const support::FeatureMatrix &Centroids,
+                          const double *Embed, std::vector<double> &DistBuf) {
+  DistBuf.resize(Centroids.rows());
+  return static_cast<int>(
+      support::nearestCentroidRow(Centroids, Embed, DistBuf.data()).first);
 }
 
 void PromRegressor::calibrate(const data::Dataset &CalibSet,
@@ -721,37 +694,38 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Matrix Embeds;
   Model.predictWithEmbedBatch(CalibSet, Predictions, Embeds);
 
-  // Row-vector copies for the (calibration-time) clustering; the flat
-  // CalibEmbeds block is what the deployment-time k-NN scans stream.
-  std::vector<std::vector<double>> EmbedRows;
-  EmbedRows.reserve(CalibSet.size());
+  // A local kernel-scannable copy of the embeddings for the clustering and
+  // the self-excluded k-NN scoring below: the store only builds its own
+  // block at finalize(), after the entries are scored.
+  size_t N = CalibSet.size();
+  support::FeatureMatrix Block(N, Embeds.cols());
   CalibTargets.clear();
   std::vector<double> Residuals;
-  for (size_t I = 0; I < CalibSet.size(); ++I) {
-    EmbedRows.push_back(Embeds.row(I));
+  for (size_t I = 0; I < N; ++I) {
+    Block.setRow(I, Embeds.rowPtr(I));
     CalibTargets.push_back(CalibSet[I].Target);
     Residuals.push_back(std::fabs(Predictions[I] - CalibSet[I].Target));
   }
-  CalibEmbeds = support::FeatureMatrix::fromRows(EmbedRows);
-  rebuildKnnIndex();
   ResidualIqr = support::quantile(Residuals, 0.75) -
                 support::quantile(Residuals, 0.25);
 
-  // Pseudo-labels from k-means over the embedding space (Sec. 5.1.2).
+  // Pseudo-labels from k-means over the embedding space (Sec. 5.1.2):
+  // full Lloyd on every row, up to 50 iterations.
   size_t K = Cfg.FixedClusters;
   if (K == 0)
-    K = support::gapStatisticK(EmbedRows, R, Cfg.MinClusters,
-                               std::min(Cfg.MaxClusters,
-                                        CalibSet.size() / 2));
-  support::KMeansResult Clusters = support::kMeans(EmbedRows, K, R);
-  Centroids = Clusters.Centroids;
+    K = support::gapStatisticK(Block, R, Cfg.MinClusters,
+                               std::min(Cfg.MaxClusters, N / 2));
+  support::KMeansMatrixResult Clusters =
+      support::kMeansMatrix(Block, 0, N, K, R, /*MaxIters=*/50,
+                            /*SampleCap=*/N);
+  Centroids = std::move(Clusters.Centroids);
 
   Calib.clear();
-  Calib.reserve(CalibSet.size());
-  for (size_t I = 0; I < CalibSet.size(); ++I) {
+  Calib.reserve(N);
+  for (size_t I = 0; I < N; ++I) {
     CalibrationEntry Entry;
-    Entry.Embed = EmbedRows[I];
-    Entry.Label = Clusters.Assignments[I];
+    Entry.Embed = Block.row(I);
+    Entry.Label = static_cast<int>(Clusters.Assignments[I]);
 
     // Calibration samples use their true targets but the same local
     // statistics pipeline as test samples (self excluded from the k-NN).
@@ -759,9 +733,9 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     In.Prediction = Predictions[I];
     In.ResidualIqr = ResidualIqr;
     double ApproxUnused;
-    knnStats(CalibEmbeds, CalibTargets, CalibEmbeds.rowPtr(I), Cfg.KnnK,
-             static_cast<long>(I), &KnnIndex, /*CentDistSq=*/nullptr,
-             ApproxUnused, In.KnnTargetSpread, In.KnnMeanDistance);
+    knnStats(Block, CalibTargets, Block.rowPtr(I), Cfg.KnnK,
+             static_cast<long>(I), ApproxUnused, In.KnnTargetSpread,
+             In.KnnMeanDistance);
     In.ApproxTarget = CalibTargets[I];
 
     Entry.Scores.reserve(Scorers.size());
@@ -773,28 +747,14 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Calib.finalize(effectiveShards(Cfg));
 }
 
-/// Shared regression judging rule: expert opinion from one expert's
-/// p-value row.
-static ExpertOpinion judgeRegression(const double *PVals, size_t NumLabels,
-                                     int Cluster, const PromConfig &Cfg) {
-  ExpertOpinion Op;
-  Op.Credibility = PVals[static_cast<size_t>(Cluster)];
-  for (size_t L = 0; L < NumLabels; ++L)
-    if (PVals[L] > Cfg.Epsilon)
-      ++Op.PredictionSetSize;
-  Op.Confidence = confidenceFromSetSize(Op.PredictionSetSize, Cfg.ConfidenceC);
-  Op.FlagDrift = Op.Credibility < Cfg.credThreshold() &&
-                 Op.Confidence < Cfg.ConfThreshold;
-  return Op;
-}
-
 RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
   assert(!Calib.empty() && "assess before calibrate");
   RegressionVerdict V;
   V.Predicted = Model.predict(S);
 
   std::vector<double> Embed = Model.embed(S);
-  V.Cluster = static_cast<int>(support::nearestCentroid(Centroids, Embed));
+  std::vector<double> DistBuf;
+  V.Cluster = nearestCluster(Centroids, Embed.data(), DistBuf);
 
   RegressionScoreInput In = makeScoreInput(Embed.data(), V.Predicted);
   CalibrationSelection Sel = Calib.flat().select(Embed, Cfg);
@@ -804,10 +764,10 @@ RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
     double TestScore = Scorers[E]->score(In);
     // The test score is label-independent for regression; the conditioning
     // happens through which cluster's calibration scores it is compared to.
-    std::vector<double> TestScores(Centroids.size(), TestScore);
+    std::vector<double> TestScores(Centroids.rows(), TestScore);
     std::vector<double> PVals = Calib.flat().pValues(Sel, E, TestScores, Cfg);
     V.Experts.push_back(
-        judgeRegression(PVals.data(), PVals.size(), V.Cluster, Cfg));
+        judgeExpert(PVals.data(), PVals.size(), V.Cluster, Cfg));
   }
   V.Drifted = committeeFlags(V.Experts, Cfg, V.VotesToFlag);
   return V;
@@ -817,25 +777,21 @@ void PromRegressor::assessRange(const std::vector<double> &Predictions,
                                 const Matrix &Embeds, size_t Begin,
                                 size_t End,
                                 std::vector<RegressionVerdict> &Out,
-                                CalibrationStore::BatchPrunedScan &Scan,
-                                const double *KnnCentBlock) const {
-  size_t NumLabels = Centroids.size();
+                                CalibrationStore::BatchPrunedScan &Scan) const {
+  size_t NumLabels = Centroids.rows();
   size_t NumExp = Scorers.size();
 
   AssessmentScratch Scratch;
-  std::vector<double> Embed(Embeds.cols());
+  std::vector<double> DistBuf;
   std::vector<double> TestScores(NumExp * NumLabels);
   std::vector<double> PVals(NumExp * NumLabels);
 
   for (size_t I = Begin; I < End; ++I) {
     RegressionVerdict &V = Out[I];
     V.Predicted = Predictions[I];
-    Embed.assign(Embeds.rowPtr(I), Embeds.rowPtr(I) + Embeds.cols());
-    V.Cluster = static_cast<int>(support::nearestCentroid(Centroids, Embed));
+    V.Cluster = nearestCluster(Centroids, Embeds.rowPtr(I), DistBuf);
 
-    RegressionScoreInput In = makeScoreInput(
-        Embeds.rowPtr(I), V.Predicted,
-        KnnCentBlock ? KnnCentBlock + I * KnnIndex.numLists() : nullptr);
+    RegressionScoreInput In = makeScoreInput(Embeds.rowPtr(I), V.Predicted);
     Calib.selectForAssessment(Embeds.rowPtr(I), Cfg, Scratch, &Scan, I);
     for (size_t E = 0; E < NumExp; ++E) {
       double TestScore = Scorers[E]->score(In);
@@ -848,8 +804,8 @@ void PromRegressor::assessRange(const std::vector<double> &Predictions,
     V.Experts.clear();
     V.Experts.reserve(NumExp);
     for (size_t E = 0; E < NumExp; ++E)
-      V.Experts.push_back(judgeRegression(PVals.data() + E * NumLabels,
-                                          NumLabels, V.Cluster, Cfg));
+      V.Experts.push_back(judgeExpert(PVals.data() + E * NumLabels,
+                                      NumLabels, V.Cluster, Cfg));
     V.Drifted = committeeFlags(V.Experts, Cfg, V.VotesToFlag);
   }
 }
@@ -867,32 +823,17 @@ PromRegressor::assessBatch(const data::Dataset &Batch) const {
   assert(Embeds.cols() == Calib.embedDim() &&
          "embedding width does not match the calibration set");
 
-  // Batch-amortized centroid passes: one for the store's pruned selection
-  // (inactive when the routing is not in force) and one for the k-NN
-  // ground-truth index. Chunks are disjoint query rows and each block row
-  // is bit-identical to the per-query kernel call, so verdicts cannot
-  // change.
+  // One batch-amortized centroid pass for the store's pruned selection
+  // (inactive when the routing is not in force). Chunks are disjoint query
+  // rows and each block row is bit-identical to the per-query kernel call,
+  // so verdicts cannot change.
   CalibrationStore::BatchPrunedScan Scan;
   Calib.prepareBatchPrunedScan(Embeds.rowPtr(0), Embeds.rows(),
                                Embeds.cols(), Cfg, Scan);
-  std::vector<double> KnnCentBlock;
-  if (KnnIndex.valid()) {
-    size_t NumLists = KnnIndex.numLists();
-    KnnCentBlock.resize(Batch.size() * NumLists);
-    support::ThreadPool::global().parallelFor(
-        Batch.size(), [&](size_t Begin, size_t End) {
-          if (Begin >= End)
-            return;
-          KnnIndex.centroidDistancesBatch(
-              Embeds.rowPtr(Begin), End - Begin, Embeds.cols(),
-              KnnCentBlock.data() + Begin * NumLists);
-        });
-  }
 
   support::ThreadPool::global().parallelFor(
       Batch.size(), [&](size_t Begin, size_t End) {
-        assessRange(Predictions, Embeds, Begin, End, Out, Scan,
-                    KnnCentBlock.empty() ? nullptr : KnnCentBlock.data());
+        assessRange(Predictions, Embeds, Begin, End, Out, Scan);
       });
   return Out;
 }
@@ -917,13 +858,15 @@ bool PromRegressor::saveSnapshot(const std::string &Path,
   for (const auto &Scorer : Scorers)
     W.writeString(Scorer->name());
   writeEntries(W, Calib);
-  W.writeU64(CalibEmbeds.rows());
-  for (size_t I = 0; I < CalibEmbeds.rows(); ++I)
-    W.writeDoubleVec(CalibEmbeds.row(I));
+  // The k-NN embedding block: a second copy of the entries' embeddings,
+  // kept for the byte layout (the loader checks it against the entries).
+  W.writeU64(Calib.size());
+  for (size_t I = 0; I < Calib.size(); ++I)
+    W.writeDoubleVec(Calib.entry(I).Embed);
   W.writeDoubleVec(CalibTargets);
-  W.writeU64(Centroids.size());
-  for (const std::vector<double> &Centroid : Centroids)
-    W.writeDoubleVec(Centroid);
+  W.writeU64(Centroids.rows());
+  for (size_t C = 0; C < Centroids.rows(); ++C)
+    W.writeDoubleVec(Centroids.row(C));
   W.writeF64(ResidualIqr);
   W.writeU64(Calib.targetShards()); // Requested, not block-clamped.
   writeScaler(W, Scaler);
@@ -959,30 +902,37 @@ bool PromRegressor::loadSnapshot(const std::string &Path,
   if (!readEntries(R, NewScorers.size(), NewStore))
     return false;
 
+  // The k-NN lookups scan the store's own embedding block, so the
+  // snapshot's copy must be bit-equal to the entries' embeddings — a
+  // checksum-valid file that disagrees is hostile, not merely stale.
   uint64_t NumEmbeds = R.readU64();
   if (R.failed() || NumEmbeds != NewStore.size())
     return false;
-  std::vector<std::vector<double>> NewEmbeds;
-  NewEmbeds.reserve(static_cast<size_t>(NumEmbeds));
-  for (uint64_t I = 0; I < NumEmbeds; ++I) {
-    NewEmbeds.push_back(R.readDoubleVec());
-    if (R.failed() || NewEmbeds.back().empty() ||
-        NewEmbeds.back().size() != NewEmbeds.front().size())
+  for (size_t I = 0; I < NewStore.size(); ++I) {
+    std::vector<double> Embed = R.readDoubleVec();
+    const std::vector<double> &Want = NewStore.entry(I).Embed;
+    if (R.failed() || Embed.size() != Want.size() ||
+        std::memcmp(Embed.data(), Want.data(),
+                    Want.size() * sizeof(double)) != 0)
       return false;
   }
   std::vector<double> NewTargets = R.readDoubleVec();
-  if (R.failed() || NewTargets.size() != NewEmbeds.size())
+  if (R.failed() || NewTargets.size() != NewStore.size())
     return false;
 
+  // Every centroid must have the embedding width: nearestCentroidRow
+  // scans Centroids.dim() values of each test embedding.
   uint64_t NumCentroids = R.readU64();
   if (R.failed() || NumCentroids == 0 || NumCentroids > NewStore.size())
     return false;
-  std::vector<std::vector<double>> NewCentroids;
-  NewCentroids.reserve(static_cast<size_t>(NumCentroids));
-  for (uint64_t I = 0; I < NumCentroids; ++I) {
-    NewCentroids.push_back(R.readDoubleVec());
-    if (R.failed() || NewCentroids.back().empty())
+  size_t EmbedDim = NewStore.entry(0).Embed.size();
+  support::FeatureMatrix NewCentroids(static_cast<size_t>(NumCentroids),
+                                      EmbedDim);
+  for (size_t C = 0; C < NewCentroids.rows(); ++C) {
+    std::vector<double> Centroid = R.readDoubleVec();
+    if (R.failed() || Centroid.size() != EmbedDim)
       return false;
+    NewCentroids.setRow(C, Centroid.data());
   }
   double NewResidualIqr = R.readF64();
   size_t Shards = static_cast<size_t>(R.readU64());
@@ -998,8 +948,6 @@ bool PromRegressor::loadSnapshot(const std::string &Path,
   Calib = std::move(NewStore);
   Calib.setIndexPolicy(ClusterIndexPolicy::fromConfig(Cfg));
   Calib.finalize(Shards);
-  CalibEmbeds = support::FeatureMatrix::fromRows(NewEmbeds);
-  rebuildKnnIndex();
   CalibTargets = std::move(NewTargets);
   Centroids = std::move(NewCentroids);
   ResidualIqr = NewResidualIqr;

@@ -229,9 +229,6 @@ public:
                     data::StandardScaler *Scaler = nullptr);
 
 private:
-  ExpertOpinion judge(const double *PVals, size_t NumLabels,
-                      int Predicted) const;
-
   /// Model probabilities softened by the fitted temperature.
   std::vector<double> softenedProbs(const data::Sample &S) const;
 
@@ -330,14 +327,15 @@ public:
   std::vector<RegressionVerdict>
   assessBatch(const data::Dataset &Batch) const;
 
-  /// Reference per-sample implementation retained for equivalence testing
-  /// and the serial bench baseline.
+  /// Reference per-sample implementation: per-sample forwards, the exact
+  /// flat selection and the exact k-NN scan, with no index on any path.
+  /// The oracle of the equivalence tests and the serial bench baseline.
   RegressionVerdict assessSerial(const data::Sample &S) const;
 
   const PromConfig &config() const { return Cfg; }   ///< Current knobs.
   PromConfig &config() { return Cfg; }               ///< Mutable knobs.
   size_t numExperts() const { return Scorers.size(); } ///< Committee size.
-  size_t numClusters() const { return Centroids.size(); } ///< Pseudo-labels.
+  size_t numClusters() const { return Centroids.rows(); } ///< Pseudo-labels.
   const ml::Regressor &model() const { return Model; } ///< Wrapped model.
   /// True once calibrate() (or a snapshot load) has run.
   bool isCalibrated() const { return !Calib.empty(); }
@@ -352,56 +350,42 @@ public:
 
   /// Regression snapshot: config, committee names, calibration entries,
   /// k-NN embeddings/targets, centroids, residual IQR, optional scaler.
-  /// Same format/guarantees as the classifier snapshot.
+  /// Same format/guarantees as the classifier snapshot. The k-NN embedding
+  /// block is a second copy of the entries' embeddings.
   bool saveSnapshot(const std::string &Path,
                     const data::StandardScaler *Scaler = nullptr) const;
   /// Restores a regressor snapshot; see PromClassifier::loadSnapshot()
-  /// for the validation and failure guarantees.
+  /// for the validation and failure guarantees. Also rejects a snapshot
+  /// whose k-NN embedding block is not bit-equal to the entries'
+  /// embeddings or whose centroids do not have the embedding width.
   bool loadSnapshot(const std::string &Path,
                     data::StandardScaler *Scaler = nullptr);
 
 private:
-  /// \p Embed must point at embedDim() values (a row of the calibration
-  /// embedding block or a freshly computed test embedding).
-  /// \p KnnCentDists, when non-null, supplies this query's precomputed
-  /// squared distances to the KnnIndex centroids (one row of the batch
-  /// block assessBatch() prepares) — same bits as recomputing them, so
-  /// the k-NN statistics are unchanged.
-  RegressionScoreInput makeScoreInput(const double *Embed, double Prediction,
-                                      const double *KnnCentDists =
-                                          nullptr) const;
-
-  /// Reconciles KnnIndex with the config and the current calibration
-  /// embedding block: built over the whole block when
-  /// PromConfig::KnnClusterIndex is set and the block has at least
-  /// ClusterIndexMinEntries rows, dropped otherwise. Called by
-  /// calibrate() and loadSnapshot().
-  void rebuildKnnIndex();
+  /// k-NN ground-truth statistics of one test embedding (Sec. 5.1.1):
+  /// \p Embed must point at embedDim() values.
+  RegressionScoreInput makeScoreInput(const double *Embed,
+                                      double Prediction) const;
 
   /// Committee assessment of rows [Begin, End) of a batch with precomputed
   /// predictions and embeddings. \p Scan is the store's prepared
-  /// pruned-scan context and \p KnnCentBlock the batch's precomputed
-  /// KnnIndex centroid distances (null when the index is not built); both
-  /// are per-query-sliced, so concurrent ranges never share state.
+  /// pruned-scan context; each query reads its own slice, so concurrent
+  /// ranges never share state.
   void assessRange(const std::vector<double> &Predictions,
                    const support::Matrix &Embeds, size_t Begin, size_t End,
                    std::vector<RegressionVerdict> &Out,
-                   CalibrationStore::BatchPrunedScan &Scan,
-                   const double *KnnCentBlock) const;
+                   CalibrationStore::BatchPrunedScan &Scan) const;
 
   const ml::Regressor &Model;
   PromConfig Cfg;
   std::vector<std::unique_ptr<RegressionScorer>> Scorers;
+  /// Calibration store; the k-NN ground-truth lookups scan its flat
+  /// embedding block (flat().embedMatrix()), whose row I is entry I.
   CalibrationStore Calib;
-  /// Calibration embeddings as one flat block: the k-NN ground-truth
-  /// lookups run the batched kernel scan over it (Sec. 5.1.1).
-  support::FeatureMatrix CalibEmbeds;
-  /// Lossless cluster index over CalibEmbeds (PromConfig::KnnClusterIndex):
-  /// the Sec. 5.1.1 k-NN ground-truth lookups run the pruned scan through
-  /// it, with the same bit-identity contract as the store indexes.
-  support::ClusterIndex KnnIndex;
+  /// True target of calibration entry I.
   std::vector<double> CalibTargets;
-  std::vector<std::vector<double>> Centroids;
+  /// Pseudo-label centroids, one row per cluster.
+  support::FeatureMatrix Centroids;
   double ResidualIqr = 0.0;
 };
 

@@ -89,11 +89,13 @@ struct PromConfig {
   size_t MinVotesToFlag = 0;
 
   /// k in the regression k-NN ground-truth approximation (Sec. 5.1.1,
-  /// default 3).
+  /// default 3). The lookups run an exact scan over the calibration
+  /// store's embedding block; the ClusterIndex* knobs do not apply.
   size_t KnnK = 3;
 
   /// Gap-statistic search range for the regression pseudo-label clustering
-  /// (Sec. 5.1.2, default K in [2, 20]).
+  /// (Sec. 5.1.2, default K in [2, 20]). The clustering and the gap
+  /// statistic both run support::kMeansMatrix over every calibration row.
   size_t MinClusters = 2;
   size_t MaxClusters = 20;
 
@@ -114,9 +116,9 @@ struct PromConfig {
   /// calibrate() itself never evicts — the bound governs refresh only.
   size_t MaxCalibEntries = 0;
 
-  /// Accelerate the per-query distance scan with the lossless
-  /// cluster-pruned index (support/ClusterIndex) once a shard is large
-  /// enough. Pruning is bit-identical to the exact scan by construction,
+  /// Accelerate the calibration store's per-query distance scan with the
+  /// lossless cluster-pruned index (support/ClusterIndex) once a shard is
+  /// large enough. Pruning is bit-identical to the exact scan by construction,
   /// so this is purely a performance knob.
   bool ClusterIndex = true;
 
@@ -140,14 +142,6 @@ struct PromConfig {
   /// pruning at a 50% selection scans ~90% of the rows and loses ~10-30%,
   /// while 10%/2% selections win 1.7x/6.5x at 10^6 entries).
   double ClusterIndexMaxSelectFraction = 0.25;
-
-  /// Also build a cluster index over the regression calibration embedding
-  /// block at calibrate()/snapshot-load time, so the k-NN ground-truth
-  /// lookups (Sec. 5.1.1) run the lossless pruned scan instead of the
-  /// exact one. Gated by ClusterIndexMinEntries and sized by
-  /// ClusterIndexCentroids like the per-shard store indexes; bit-identical
-  /// by the same contract, so purely a performance knob.
-  bool KnnClusterIndex = true;
 
   /// Enable the serving runtime's drift-attribution layer
   /// (serve/DriftAttribution): per-dimension reference-vs-current

@@ -163,15 +163,6 @@ public:
   nearestPruned(const double *Query, size_t K,
                 ClusterScanStats *Stats = nullptr) const;
 
-  /// nearestPruned() with the query-to-centroid squared distances already
-  /// computed (\p CentDistSq, numLists() values — e.g. one row of a
-  /// centroidDistancesBatch() block). The walk, the bounds, and the result
-  /// are exactly nearestPruned()'s; only the centroid scan is skipped.
-  std::vector<std::pair<double, uint32_t>>
-  nearestPrunedFromCentroids(const double *Query, const double *CentDistSq,
-                             size_t K,
-                             ClusterScanStats *Stats = nullptr) const;
-
   /// Batch-native pruned k-NN: element Q is bit-identical — pair for pair,
   /// and counter for counter in \p Stats — to nearestPruned(row Q of
   /// \p Queries, K). The batch amortizes what the per-query loop repays
@@ -187,6 +178,15 @@ public:
                      std::vector<ClusterScanStats> *Stats = nullptr) const;
 
 private:
+  /// nearestPruned() with the query-to-centroid squared distances already
+  /// computed (\p CentDistSq, numLists() values — one row of a
+  /// centroidDistancesBatch() block in nearestPrunedBatch()). The walk, the
+  /// bounds, and the result are exactly nearestPruned()'s; only the
+  /// centroid scan is skipped.
+  std::vector<std::pair<double, uint32_t>>
+  nearestPrunedFromCentroids(const double *Query, const double *CentDistSq,
+                             size_t K, ClusterScanStats *Stats) const;
+
   size_t BeginRow = 0;
   size_t EndRow = 0;
   /// K x dim coarse centroids.

@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/KMeans.h"
-#include "support/Distance.h"
 #include "support/Kernels.h"
-#include "support/Matrix.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -20,111 +18,10 @@
 
 using namespace prom::support;
 
-/// Picks initial centroids with the k-means++ D^2 weighting.
-static std::vector<std::vector<double>>
-seedCentroids(const std::vector<std::vector<double>> &Points, size_t K,
-              Rng &R) {
-  std::vector<std::vector<double>> Centroids;
-  Centroids.reserve(K);
-  Centroids.push_back(Points[R.bounded(Points.size())]);
-  std::vector<double> MinDist(Points.size(),
-                              std::numeric_limits<double>::max());
-  while (Centroids.size() < K) {
-    const std::vector<double> &Last = Centroids.back();
-    for (size_t I = 0; I < Points.size(); ++I)
-      MinDist[I] = std::min(MinDist[I], squaredEuclidean(Points[I], Last));
-    Centroids.push_back(Points[R.weightedIndex(MinDist)]);
-  }
-  return Centroids;
-}
-
-KMeansResult prom::support::kMeans(
-    const std::vector<std::vector<double>> &Points, size_t K, Rng &R,
-    size_t MaxIters) {
-  assert(!Points.empty() && "kMeans on empty input");
-  K = std::max<size_t>(1, std::min(K, Points.size()));
-
-  KMeansResult Result;
-  Result.Centroids = seedCentroids(Points, K, R);
-  Result.Assignments.assign(Points.size(), 0);
-
-  for (size_t Iter = 0; Iter < MaxIters; ++Iter) {
-    bool Changed = false;
-    for (size_t I = 0; I < Points.size(); ++I) {
-      int Best = static_cast<int>(nearestCentroid(Result.Centroids,
-                                                  Points[I]));
-      if (Best != Result.Assignments[I]) {
-        Result.Assignments[I] = Best;
-        Changed = true;
-      }
-    }
-
-    // Recompute centroids.
-    size_t Dim = Points.front().size();
-    std::vector<std::vector<double>> Sums(K, std::vector<double>(Dim, 0.0));
-    std::vector<size_t> Counts(K, 0);
-    for (size_t I = 0; I < Points.size(); ++I) {
-      size_t C = static_cast<size_t>(Result.Assignments[I]);
-      axpy(Sums[C], Points[I], 1.0);
-      ++Counts[C];
-    }
-    for (size_t C = 0; C < K; ++C) {
-      if (Counts[C] == 0)
-        continue;
-      for (size_t D = 0; D < Dim; ++D)
-        Sums[C][D] /= static_cast<double>(Counts[C]);
-      Result.Centroids[C] = Sums[C];
-    }
-
-    // Reseed empty clusters to the farthest-from-its-centroid point (ties
-    // toward the lower index), each point claimed at most once — a dead
-    // centroid would otherwise keep its stale position forever and starve
-    // the quantizer of a cell.
-    bool Reseeded = false;
-    std::vector<uint8_t> Claimed(Points.size(), 0);
-    for (size_t C = 0; C < K; ++C) {
-      if (Counts[C] != 0)
-        continue;
-      size_t Farthest = Points.size();
-      double FarDist = -1.0;
-      for (size_t I = 0; I < Points.size(); ++I) {
-        if (Claimed[I] || Counts[static_cast<size_t>(
-                              Result.Assignments[I])] <= 1)
-          continue; // Do not orphan a singleton cluster.
-        double D = squaredEuclidean(
-            Points[I],
-            Result.Centroids[static_cast<size_t>(Result.Assignments[I])]);
-        if (D > FarDist) {
-          FarDist = D;
-          Farthest = I;
-        }
-      }
-      if (Farthest == Points.size())
-        continue; // Nothing claimable; keep the previous position.
-      Claimed[Farthest] = 1;
-      Result.Centroids[C] = Points[Farthest];
-      Reseeded = true;
-    }
-    if (!Changed && !Reseeded && Iter > 0)
-      break;
-  }
-
-  Result.Inertia = 0.0;
-  for (size_t I = 0; I < Points.size(); ++I)
-    Result.Inertia += squaredEuclidean(
-        Points[I],
-        Result.Centroids[static_cast<size_t>(Result.Assignments[I])]);
-  return Result;
-}
-
-namespace {
-
-/// Index of the nearest centroid row of \p Cent to \p Row plus the kernel
-/// squared distance, ties toward the lower centroid index. \p DistBuf must
-/// have Cent.rows() slots.
-std::pair<size_t, double> nearestCentroidRow(const FeatureMatrix &Cent,
-                                             const double *Row,
-                                             double *DistBuf) {
+std::pair<size_t, double>
+prom::support::nearestCentroidRow(const FeatureMatrix &Cent, const double *Row,
+                                  double *DistBuf) {
+  assert(!Cent.empty() && "no centroids");
   kernels::l2Sq1xN(Row, Cent.data(), Cent.rows(), Cent.dim(), Cent.stride(),
                    DistBuf);
   size_t Best = 0;
@@ -133,8 +30,6 @@ std::pair<size_t, double> nearestCentroidRow(const FeatureMatrix &Cent,
       Best = C;
   return {Best, DistBuf[Best]};
 }
-
-} // namespace
 
 KMeansMatrixResult prom::support::kMeansMatrix(const FeatureMatrix &Rows,
                                                size_t Begin, size_t End,
@@ -264,59 +159,48 @@ KMeansMatrixResult prom::support::kMeansMatrix(const FeatureMatrix &Rows,
   return Result;
 }
 
-size_t prom::support::nearestCentroid(
-    const std::vector<std::vector<double>> &Centroids,
-    const std::vector<double> &Point) {
-  assert(!Centroids.empty() && "no centroids");
-  size_t Best = 0;
-  double BestDist = squaredEuclidean(Centroids[0], Point);
-  for (size_t C = 1; C < Centroids.size(); ++C) {
-    double D = squaredEuclidean(Centroids[C], Point);
-    if (D < BestDist) {
-      BestDist = D;
-      Best = C;
-    }
-  }
-  return Best;
-}
-
 /// log(inertia) clamped away from log(0) for degenerate clusterings.
 static double logDispersion(double Inertia) {
   return std::log(std::max(Inertia, 1e-12));
 }
 
-size_t prom::support::gapStatisticK(
-    const std::vector<std::vector<double>> &Points, Rng &R, size_t MinK,
-    size_t MaxK, size_t NumRefs) {
+size_t prom::support::gapStatisticK(const FeatureMatrix &Points, Rng &R,
+                                    size_t MinK, size_t MaxK,
+                                    size_t NumRefs) {
   assert(MinK >= 1 && MinK <= MaxK && "invalid K range");
-  if (Points.size() < 2)
+  size_t N = Points.rows();
+  if (N < 2)
     return 1;
-  MaxK = std::min(MaxK, Points.size());
+  MaxK = std::min(MaxK, N);
   MinK = std::min(MinK, MaxK);
 
   // Bounding box of the data for the uniform reference distribution.
-  size_t Dim = Points.front().size();
+  size_t Dim = Points.dim();
   std::vector<double> Lo(Dim, std::numeric_limits<double>::max());
   std::vector<double> Hi(Dim, std::numeric_limits<double>::lowest());
-  for (const auto &P : Points)
+  for (size_t I = 0; I < N; ++I)
     for (size_t D = 0; D < Dim; ++D) {
-      Lo[D] = std::min(Lo[D], P[D]);
-      Hi[D] = std::max(Hi[D], P[D]);
+      Lo[D] = std::min(Lo[D], Points.rowPtr(I)[D]);
+      Hi[D] = std::max(Hi[D], Points.rowPtr(I)[D]);
     }
 
+  // Lloyd on every row (sample cap N), up to 50 iterations.
+  auto Dispersion = [&](const FeatureMatrix &Rows, size_t K) {
+    return logDispersion(kMeansMatrix(Rows, 0, N, K, R, 50, N).Inertia);
+  };
   std::vector<double> Gap(MaxK + 1, 0.0), Sk(MaxK + 1, 0.0);
+  FeatureMatrix RefRows(N, Dim);
   for (size_t K = MinK; K <= MaxK; ++K) {
-    double DataLog = logDispersion(kMeans(Points, K, R).Inertia);
+    double DataLog = Dispersion(Points, K);
 
     std::vector<double> RefLogs;
     RefLogs.reserve(NumRefs);
     for (size_t Ref = 0; Ref < NumRefs; ++Ref) {
-      std::vector<std::vector<double>> RefPoints(Points.size(),
-                                                 std::vector<double>(Dim));
-      for (auto &P : RefPoints)
+      // Row-major draws, one uniform per (row, dim) in ascending order.
+      for (size_t I = 0; I < N; ++I)
         for (size_t D = 0; D < Dim; ++D)
-          P[D] = R.uniform(Lo[D], Hi[D]);
-      RefLogs.push_back(logDispersion(kMeans(RefPoints, K, R).Inertia));
+          RefRows.rowPtr(I)[D] = R.uniform(Lo[D], Hi[D]);
+      RefLogs.push_back(Dispersion(RefRows, K));
     }
     Gap[K] = mean(RefLogs) - DataLog;
     Sk[K] = stddev(RefLogs) *

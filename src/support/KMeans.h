@@ -7,9 +7,12 @@
 /// \file
 /// K-means++ clustering and the Tibshirani gap statistic.
 ///
-/// PROM extends conformal p-values to regression by clustering the
-/// calibration set into pseudo-labels (paper Sec. 5.1.2); the cluster count
-/// K is chosen by the gap statistic over K in [2, 20].
+/// One k-means serves two callers. ClusterIndex uses kMeansMatrix() as
+/// its coarse quantizer, on a stride-sample with a few Lloyd iterations.
+/// PromRegressor uses it to cluster the calibration embeddings into
+/// pseudo-labels (paper Sec. 5.1.2), on every row with up to 50 Lloyd
+/// iterations; its cluster count K comes from the gap statistic over
+/// K in [2, 20], which runs the same k-means.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,34 +23,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace prom {
 namespace support {
 
 class Rng;
-
-/// Result of a k-means run: per-point assignments plus centroids.
-struct KMeansResult {
-  std::vector<int> Assignments;              ///< Cluster id per input point.
-  std::vector<std::vector<double>> Centroids; ///< K centroid vectors.
-  double Inertia = 0.0; ///< Within-cluster sum of squared distances.
-};
-
-/// Runs k-means++ with Lloyd iterations on \p Points.
-///
-/// Fully deterministic given \p R's seed: the k-means++ picks consume \p R,
-/// every assignment breaks distance ties toward the lower centroid index,
-/// and clusters that empty out are reseeded to the farthest-from-its-
-/// centroid unclaimed point (ties toward the lower point index) instead of
-/// silently keeping a dead centroid.
-///
-/// \param Points row vectors to cluster (all the same length).
-/// \param K desired cluster count; clamped to Points.size().
-/// \param R randomness for seeding.
-/// \param MaxIters Lloyd iteration cap.
-KMeansResult kMeans(const std::vector<std::vector<double>> &Points, size_t K,
-                    Rng &R, size_t MaxIters = 50);
 
 /// Result of a kMeansMatrix() run over FeatureMatrix rows.
 struct KMeansMatrixResult {
@@ -62,9 +44,10 @@ struct KMeansMatrixResult {
   double Inertia = 0.0;
 };
 
-/// Quantizer-duty k-means over rows [\p Begin, \p End) of \p Rows: k-means++
-/// seeding and Lloyd iterations on a deterministic stride-sample of at most
-/// \p SampleCap rows, then one exact assignment pass over every row.
+/// K-means over rows [\p Begin, \p End) of \p Rows: k-means++ seeding and
+/// Lloyd iterations on a deterministic stride-sample of at most
+/// \p SampleCap rows, then one exact assignment pass over every row. With
+/// \p SampleCap >= the row count the sample is every row in order.
 ///
 /// Deterministic for a fixed \p R seed *across thread counts*: the
 /// assignment scans are per-row independent kernel folds (fanned out over
@@ -72,9 +55,10 @@ struct KMeansMatrixResult {
 /// serially in ascending row order, every nearest-centroid tie breaks
 /// toward the lower centroid index, and empty clusters reseed to the
 /// farthest unclaimed sample row (ties toward the lower row index).
-/// ClusterIndex builds on this as its coarse quantizer, and the pinned
-/// regression test in ClusterIndexTest compares the parallel run against a
-/// serial in-test reference bit for bit.
+/// ClusterIndex builds on this as its coarse quantizer, gapStatisticK and
+/// PromRegressor as the pseudo-label clustering, and the pinned regression
+/// test in ClusterIndexTest compares the parallel run against a serial
+/// in-test reference bit for bit.
 ///
 /// \param Rows feature block to cluster (dim() > 0).
 /// \param Begin first row of the clustered range.
@@ -87,20 +71,26 @@ KMeansMatrixResult kMeansMatrix(const FeatureMatrix &Rows, size_t Begin,
                                 size_t End, size_t K, Rng &R,
                                 size_t MaxIters = 8, size_t SampleCap = 16384);
 
+/// Index of the nearest row of \p Cent to \p Row (Cent.dim() values)
+/// plus its kernel squared distance: the argmin of one l2Sq1xN scan, ties
+/// toward the lower centroid index. \p DistBuf must have Cent.rows()
+/// slots; \p Cent must be non-empty. kMeansMatrix assigns rows with it and
+/// PromRegressor maps test embeddings to pseudo-labels with it.
+std::pair<size_t, double> nearestCentroidRow(const FeatureMatrix &Cent,
+                                             const double *Row,
+                                             double *DistBuf);
+
 /// Chooses a cluster count via the gap statistic (Tibshirani et al. 2001).
 ///
-/// Compares log within-cluster dispersion on \p Points against the expected
-/// dispersion under \p NumRefs uniform reference datasets drawn over the
-/// bounding box of the data, for K in [MinK, MaxK]. Returns the first K
-/// satisfying the standard "Gap(K) >= Gap(K+1) - s(K+1)" rule, falling back
-/// to the K with the largest gap.
-size_t gapStatisticK(const std::vector<std::vector<double>> &Points,
-                     Rng &R, size_t MinK = 2, size_t MaxK = 20,
-                     size_t NumRefs = 5);
-
-/// Nearest centroid index for \p Point; asserts non-empty centroids.
-size_t nearestCentroid(const std::vector<std::vector<double>> &Centroids,
-                       const std::vector<double> &Point);
+/// Compares log within-cluster dispersion on the rows of \p Points against
+/// the expected dispersion under \p NumRefs uniform reference datasets
+/// drawn over the bounding box of the data, for K in [MinK, MaxK]; every
+/// dispersion is the inertia of a full kMeansMatrix() run (50 Lloyd
+/// iterations, no sampling). Returns the first K satisfying the standard
+/// "Gap(K) >= Gap(K+1) - s(K+1)" rule, falling back to the K with the
+/// largest gap. Returns 1 for fewer than two rows.
+size_t gapStatisticK(const FeatureMatrix &Points, Rng &R, size_t MinK = 2,
+                     size_t MaxK = 20, size_t NumRefs = 5);
 
 } // namespace support
 } // namespace prom

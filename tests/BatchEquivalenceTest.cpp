@@ -36,6 +36,7 @@
 #include "ml/Mlp.h"
 #include "ml/RandomForest.h"
 #include "support/Rng.h"
+#include "support/Serialize.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -639,9 +640,9 @@ TEST(BatchEquivalenceTest, KnnRegressorBatchPathBitIdentical) {
 }
 
 TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
-  // Three-way regressor check with the calibration-side k-NN index live:
-  // (a) batch vs serial bit-identity with the index on (both the knnStats
-  // reuse of the index and the batch-prepared pruned store selection), and
+  // Three-way regressor check with the store's cluster index live:
+  // (a) batch vs serial bit-identity with the index on (the batch-prepared
+  // pruned store selection against assessSerial's exact scan), and
   // (b) the indexed detector's verdicts are bit-identical to a detector
   // with the index disabled — losslessness at the committee level.
   support::Rng R(58);
@@ -656,7 +657,6 @@ TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
   Indexed.SelectAllBelow = 16;
   PromConfig Unindexed = Indexed;
   Unindexed.ClusterIndex = false;
-  Unindexed.KnnClusterIndex = false;
 
   support::Rng RIdx(77), RRef(77);
   PromRegressor PromIdx(Model, Indexed);
@@ -672,6 +672,53 @@ TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
     expectSameRegressionVerdict(PromIdx.assessSerial(Test[I]), Batched[I], I);
     expectSameRegressionVerdict(Reference[I], Batched[I], I);
   }
+}
+
+TEST(BatchEquivalenceTest, GapStatisticRegressorVerdictsPinned) {
+  // Pins fresh-calibration regressor verdicts with the gap statistic on
+  // (FixedClusters = 0): the chosen cluster count and an FNV-1a hash of
+  // every verdict's cluster and expert credibility/confidence bits. The
+  // constants were captured from the vector-of-vectors k-means that
+  // preceded kMeansMatrix on this path, so a change to the clustering
+  // shows up here as a hash change. CMake registers this binary under
+  // PROM_THREADS=1 and 4 and PROM_KERNELS=scalar, which pins the same
+  // constants across lane counts and kernel ISAs.
+  support::Rng R(59);
+  data::Dataset Train = linearRegression(300, 0.1, R);
+  data::Dataset Calib = linearRegression(200, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+
+  PromConfig Cfg;
+  Cfg.FixedClusters = 0;
+  PromRegressor Prom(Model, Cfg);
+  support::Rng CalR(17);
+  Prom.calibrate(Calib, CalR);
+
+  data::Dataset Test("reg-pinned", 0);
+  for (int I = 0; I < 90; ++I) {
+    data::Sample S;
+    double Lo = I % 3 == 0 ? 4.0 : -2.0, Hi = I % 3 == 0 ? 8.0 : 2.0;
+    S.Features = {R.uniform(Lo, Hi), R.uniform(Lo, Hi)};
+    S.Target = 2.0 * S.Features[0] - S.Features[1];
+    Test.add(std::move(S));
+  }
+
+  std::vector<uint8_t> Bytes;
+  auto Append = [&Bytes](uint64_t V) {
+    for (int B = 0; B < 8; ++B)
+      Bytes.push_back(static_cast<uint8_t>(V >> (8 * B)));
+  };
+  for (const RegressionVerdict &V : Prom.assessBatch(Test)) {
+    Append(static_cast<uint64_t>(V.Cluster));
+    for (const ExpertOpinion &E : V.Experts) {
+      Append(bits(E.Credibility));
+      Append(bits(E.Confidence));
+    }
+  }
+  uint64_t Hash = support::fnv1a(Bytes.data(), Bytes.size());
+  EXPECT_EQ(Prom.numClusters(), 8u);
+  EXPECT_EQ(Hash, 0x72e2b28b816600faull) << std::hex << Hash;
 }
 
 TEST(BatchEquivalenceTest, GbrRegressorCommitteeBitIdentical) {

@@ -245,6 +245,127 @@ TEST(KMeansMatrixTest, SeparatesObviousClusters) {
 }
 
 //===----------------------------------------------------------------------===//
+// kMeansMatrix as the regressor's pseudo-label clustering: every row,
+// 50 Lloyd iterations (the PromRegressor / gapStatisticK call sites)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// kMeansMatrix with the pseudo-label call-site arguments.
+KMeansMatrixResult pseudoLabelKMeans(const FeatureMatrix &Rows, size_t K,
+                                     Rng &R) {
+  return kMeansMatrix(Rows, 0, Rows.rows(), K, R, /*MaxIters=*/50,
+                      /*SampleCap=*/Rows.rows());
+}
+
+} // namespace
+
+TEST(KMeansTest, SeparatesObviousClusters) {
+  Rng R(5);
+  FeatureMatrix Rows(120, 2);
+  for (size_t C = 0; C < 3; ++C)
+    for (size_t I = 0; I < 40; ++I) {
+      double *Row = Rows.rowPtr(C * 40 + I);
+      Row[0] = static_cast<double>(C) * 10.0 + R.gaussian(0.0, 0.3);
+      Row[1] = static_cast<double>(C) * 10.0 + R.gaussian(0.0, 0.3);
+    }
+  KMeansMatrixResult Res = pseudoLabelKMeans(Rows, 3, R);
+  // All members of one true cluster share an assignment, and the three
+  // true clusters land in three different ones.
+  for (size_t C = 0; C < 3; ++C)
+    for (size_t I = 0; I < 40; ++I)
+      EXPECT_EQ(Res.Assignments[C * 40 + I], Res.Assignments[C * 40]);
+  EXPECT_NE(Res.Assignments[0], Res.Assignments[40]);
+  EXPECT_NE(Res.Assignments[0], Res.Assignments[80]);
+  EXPECT_NE(Res.Assignments[40], Res.Assignments[80]);
+}
+
+TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
+  Rng R(6);
+  FeatureMatrix Rows(200, 2);
+  for (size_t I = 0; I < 200; ++I) {
+    Rows.rowPtr(I)[0] = R.uniform(0, 10);
+    Rows.rowPtr(I)[1] = R.uniform(0, 10);
+  }
+  double Prev = pseudoLabelKMeans(Rows, 1, R).Inertia;
+  for (size_t K = 2; K <= 8; K += 2) {
+    double Cur = pseudoLabelKMeans(Rows, K, R).Inertia;
+    EXPECT_LE(Cur, Prev * 1.05); // Allow slight local-minimum noise.
+    Prev = Cur;
+  }
+}
+
+TEST(KMeansTest, KClampedToRowCount) {
+  Rng R(7);
+  FeatureMatrix Rows(2, 2);
+  Rows.rowPtr(1)[0] = 1.0;
+  Rows.rowPtr(1)[1] = 1.0;
+  KMeansMatrixResult Res = pseudoLabelKMeans(Rows, 10, R);
+  EXPECT_EQ(Res.Centroids.rows(), 2u);
+  EXPECT_EQ(Res.Assignments.size(), 2u);
+  for (uint32_t A : Res.Assignments)
+    EXPECT_LT(A, 2u);
+}
+
+TEST(KMeansTest, EmptyClustersReseedToFarthestRow) {
+  // Clusters that empty out during Lloyd iterations must be reseeded (to
+  // the farthest unclaimed row) instead of silently keeping a dead
+  // centroid. With distinct rows and K well below N, every cluster must
+  // end up non-empty for any seed.
+  FeatureMatrix Rows(40, 2);
+  for (size_t I = 0; I < 40; ++I) {
+    Rows.rowPtr(I)[0] = static_cast<double>(I) * 1.7;
+    Rows.rowPtr(I)[1] = static_cast<double>(I % 5) * 3.1;
+  }
+  for (uint64_t Seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed);
+    KMeansMatrixResult Res = pseudoLabelKMeans(Rows, 20, R);
+    ASSERT_EQ(Res.Centroids.rows(), 20u);
+    std::vector<size_t> Counts(20, 0);
+    for (uint32_t A : Res.Assignments)
+      ++Counts[A];
+    for (size_t C = 0; C < 20; ++C)
+      EXPECT_GT(Counts[C], 0u) << "cluster " << C << " ended empty";
+  }
+}
+
+TEST(KMeansTest, NearestCentroidRowPicksClosest) {
+  FeatureMatrix Cent(2, 2);
+  Cent.rowPtr(1)[0] = 10.0;
+  Cent.rowPtr(1)[1] = 10.0;
+  std::vector<double> DistBuf(2);
+  const double Near0[] = {1.0, 1.0}, Near1[] = {9.0, 9.0}, Tie[] = {5.0, 5.0};
+  std::pair<size_t, double> Best =
+      nearestCentroidRow(Cent, Near0, DistBuf.data());
+  EXPECT_EQ(Best.first, 0u);
+  EXPECT_EQ(Best.second, 2.0);
+  EXPECT_EQ(nearestCentroidRow(Cent, Near1, DistBuf.data()).first, 1u);
+  // An exact tie breaks toward the lower centroid index.
+  EXPECT_EQ(nearestCentroidRow(Cent, Tie, DistBuf.data()).first, 0u);
+}
+
+TEST(GapStatisticTest, FindsThreeBlobs) {
+  Rng R(9);
+  FeatureMatrix Rows(150, 2);
+  for (size_t C = 0; C < 3; ++C)
+    for (size_t I = 0; I < 50; ++I) {
+      double *Row = Rows.rowPtr(C * 50 + I);
+      Row[0] = static_cast<double>(C) * 20.0 + R.gaussian(0.0, 0.5);
+      Row[1] = R.gaussian(0.0, 0.5);
+    }
+  size_t K = gapStatisticK(Rows, R, 2, 8);
+  EXPECT_GE(K, 2u);
+  EXPECT_LE(K, 4u);
+}
+
+TEST(GapStatisticTest, TinyInputIsSafe) {
+  Rng R(10);
+  FeatureMatrix Rows(1, 2);
+  EXPECT_EQ(gapStatisticK(Rows, R), 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // ClusterIndex: lossless pruned k-NN
 //===----------------------------------------------------------------------===//
 

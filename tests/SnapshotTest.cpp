@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -167,6 +169,111 @@ TEST(SnapshotTest, RegressorRoundTripBitIdentical) {
     }
   }
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// Writes \p Payload (magic included, checksum excluded) to \p Path with a
+/// freshly computed trailing checksum, so only the loader's semantic
+/// checks stand between the mutated image and a successful load.
+void spitRestamped(const std::string &Path, std::vector<char> Payload) {
+  uint64_t Sum = support::fnv1a(
+      reinterpret_cast<const uint8_t *>(Payload.data()), Payload.size());
+  const char *Raw = reinterpret_cast<const char *>(&Sum);
+  Payload.insert(Payload.end(), Raw, Raw + sizeof(Sum));
+  spit(Path, Payload);
+}
+
+/// The snapshot encoding of a double vector: u64 length, then the values.
+std::vector<char> encodeDoubleVec(const std::vector<double> &V) {
+  std::vector<char> Out;
+  uint64_t N = V.size();
+  const char *Raw = reinterpret_cast<const char *>(&N);
+  Out.insert(Out.end(), Raw, Raw + sizeof(N));
+  Raw = reinterpret_cast<const char *>(V.data());
+  Out.insert(Out.end(), Raw, Raw + V.size() * sizeof(double));
+  return Out;
+}
+
+} // namespace
+
+TEST(SnapshotTest, RegressorRejectsHostileCentroidsAndKnnBlock) {
+  // Checksum-valid regressor snapshots whose centroid width or k-NN
+  // embedding block disagree with the entries must fail to load and leave
+  // the detector untouched: either would otherwise make nearestCentroidRow
+  // or the k-NN scan read past a row.
+  support::Rng R(93);
+  data::Dataset Train = linearRegression(300, 0.1, R);
+  data::Dataset Calib = linearRegression(120, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+
+  PromConfig Cfg;
+  Cfg.FixedClusters = 3;
+  PromRegressor Saved(Model, Cfg);
+  support::Rng CalR(11);
+  Saved.calibrate(Calib, CalR);
+  std::string Path = tempPath("hostile_regressor.promsnap");
+  ASSERT_TRUE(Saved.saveSnapshot(Path));
+  std::vector<char> Pristine = slurp(Path);
+  std::vector<char> Payload(Pristine.begin(), Pristine.end() - 8);
+
+  PromRegressor Victim(Model);
+  ASSERT_TRUE(Victim.loadSnapshot(Path));
+  data::Dataset Probes = linearRegression(40, 0.1, R);
+  std::vector<RegressionVerdict> Expected = Victim.assessBatch(Probes);
+
+  // The payload ends: ... last centroid (u64 dim + dim doubles), residual
+  // IQR (f64), shard count (u64), scaler flag (u8 = 0).
+  std::vector<double> Embed0 = Model.embed(Calib[0]);
+  size_t Dim = Embed0.size();
+  size_t CentEnd = Payload.size() - 1 - 8 - 8;
+  size_t LenPos = CentEnd - Dim * sizeof(double) - sizeof(uint64_t);
+  uint64_t StoredDim;
+  std::memcpy(&StoredDim, Payload.data() + LenPos, sizeof(StoredDim));
+  ASSERT_EQ(StoredDim, Dim) << "snapshot tail layout moved";
+
+  std::string Mangled = tempPath("hostile_regressor_mangled.promsnap");
+  {
+    SCOPED_TRACE("last centroid widened by one double");
+    std::vector<char> Bad = Payload;
+    uint64_t Wider = Dim + 1;
+    std::memcpy(Bad.data() + LenPos, &Wider, sizeof(Wider));
+    double Extra = 0.5;
+    const char *Raw = reinterpret_cast<const char *>(&Extra);
+    Bad.insert(Bad.begin() + static_cast<long>(CentEnd), Raw,
+               Raw + sizeof(Extra));
+    spitRestamped(Mangled, Bad);
+    EXPECT_FALSE(Victim.loadSnapshot(Mangled));
+  }
+  {
+    // Entry 0's embedding is written twice: in the entry block, then as
+    // row 0 of the k-NN embedding block. Perturb the second copy.
+    SCOPED_TRACE("k-NN row 0 perturbed");
+    std::vector<char> Pattern = encodeDoubleVec(Embed0);
+    auto First = std::search(Payload.begin(), Payload.end(), Pattern.begin(),
+                             Pattern.end());
+    ASSERT_NE(First, Payload.end());
+    auto Second = std::search(First + 1, Payload.end(), Pattern.begin(),
+                              Pattern.end());
+    ASSERT_NE(Second, Payload.end());
+    std::vector<char> Bad = Payload;
+    size_t Value0 = static_cast<size_t>(Second - Payload.begin()) + 8;
+    Bad[Value0] = static_cast<char>(Bad[Value0] ^ 0x01);
+    spitRestamped(Mangled, Bad);
+    EXPECT_FALSE(Victim.loadSnapshot(Mangled));
+  }
+
+  std::vector<RegressionVerdict> After = Victim.assessBatch(Probes);
+  ASSERT_EQ(After.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    prom::testing::expectSameRegressionVerdict(Expected[I], After[I], I);
+
+  // The unmutated payload re-stamped the same way still loads.
+  spitRestamped(Mangled, Payload);
+  EXPECT_TRUE(Victim.loadSnapshot(Mangled));
+  std::remove(Path.c_str());
+  std::remove(Mangled.c_str());
 }
 
 TEST(SnapshotTest, ScalerStateRoundTrips) {

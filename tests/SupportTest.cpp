@@ -6,7 +6,6 @@
 
 #include "support/Distance.h"
 #include "support/FeatureMatrix.h"
-#include "support/KMeans.h"
 #include "support/Matrix.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
@@ -385,92 +384,6 @@ TEST(DistanceTest, SelectNearestIsTheSharedTieBreakRule) {
   EXPECT_EQ(Sel[3], 0u); // 2.0, lower index wins the boundary tie.
   EXPECT_EQ(selectNearest(Dist.data(), Dist.size(), 99).size(), 5u);
   EXPECT_TRUE(selectNearest(Dist.data(), 0, 3).empty());
-}
-
-//===----------------------------------------------------------------------===//
-// KMeans + gap statistic
-//===----------------------------------------------------------------------===//
-
-TEST(KMeansTest, SeparatesObviousClusters) {
-  Rng R(5);
-  std::vector<std::vector<double>> Points;
-  for (int C = 0; C < 3; ++C)
-    for (int I = 0; I < 40; ++I)
-      Points.push_back({C * 10.0 + R.gaussian(0.0, 0.3),
-                        C * 10.0 + R.gaussian(0.0, 0.3)});
-  KMeansResult Res = kMeans(Points, 3, R);
-  // All members of one true cluster must share an assignment.
-  for (int C = 0; C < 3; ++C) {
-    int First = Res.Assignments[static_cast<size_t>(C) * 40];
-    for (int I = 0; I < 40; ++I)
-      EXPECT_EQ(Res.Assignments[static_cast<size_t>(C) * 40 + I], First);
-  }
-}
-
-TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
-  Rng R(6);
-  std::vector<std::vector<double>> Points;
-  for (int I = 0; I < 200; ++I)
-    Points.push_back({R.uniform(0, 10), R.uniform(0, 10)});
-  double Prev = kMeans(Points, 1, R).Inertia;
-  for (size_t K = 2; K <= 8; K += 2) {
-    double Cur = kMeans(Points, K, R).Inertia;
-    EXPECT_LE(Cur, Prev * 1.05); // Allow slight local-minimum noise.
-    Prev = Cur;
-  }
-}
-
-TEST(KMeansTest, KClampedToPointCount) {
-  Rng R(7);
-  std::vector<std::vector<double>> Points = {{0, 0}, {1, 1}};
-  KMeansResult Res = kMeans(Points, 10, R);
-  EXPECT_LE(Res.Centroids.size(), 2u);
-}
-
-TEST(KMeansTest, EmptyClustersReseedToFarthestPoint) {
-  // Quantizer-duty hardening: clusters that empty out during Lloyd
-  // iterations must be reseeded (to the farthest unclaimed point) instead
-  // of silently keeping a dead centroid. With distinct points and K well
-  // below N, every cluster must end up non-empty for any seed.
-  for (uint64_t Seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    Rng R(Seed);
-    std::vector<std::vector<double>> Points;
-    for (int I = 0; I < 40; ++I)
-      Points.push_back({static_cast<double>(I) * 1.7,
-                        static_cast<double>(I % 5) * 3.1});
-    KMeansResult Res = kMeans(Points, 20, R);
-    ASSERT_EQ(Res.Centroids.size(), 20u);
-    std::vector<int> Counts(20, 0);
-    for (int A : Res.Assignments)
-      ++Counts[static_cast<size_t>(A)];
-    for (size_t C = 0; C < 20; ++C)
-      EXPECT_GT(Counts[C], 0) << "cluster " << C << " ended empty";
-  }
-}
-
-TEST(KMeansTest, NearestCentroidPicksClosest) {
-  std::vector<std::vector<double>> Centroids = {{0, 0}, {10, 10}};
-  EXPECT_EQ(nearestCentroid(Centroids, {1, 1}), 0u);
-  EXPECT_EQ(nearestCentroid(Centroids, {9, 9}), 1u);
-}
-
-TEST(GapStatisticTest, FindsThreeBlobs) {
-  Rng R(9);
-  std::vector<std::vector<double>> Points;
-  for (int C = 0; C < 3; ++C)
-    for (int I = 0; I < 50; ++I)
-      Points.push_back({C * 20.0 + R.gaussian(0.0, 0.5),
-                        R.gaussian(0.0, 0.5)});
-  size_t K = gapStatisticK(Points, R, 2, 8);
-  EXPECT_GE(K, 2u);
-  EXPECT_LE(K, 4u);
-}
-
-TEST(GapStatisticTest, TinyInputIsSafe) {
-  Rng R(10);
-  std::vector<std::vector<double>> Points = {{0.0, 0.0}};
-  EXPECT_EQ(gapStatisticK(Points, R), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,11 +24,16 @@
 // row is a pure cost comparison. The bounded variant repeats the
 // incremental refresh with MaxCalibEntries pinned to the store size —
 // the steady state of a continuously refreshed server, where every
-// refresh also evicts oldest-first.
+// refresh also evicts oldest-first. The 4-shard store's 2.5k-entry shards
+// sit below ClusterIndexMinEntries, so the bounded-indexed row repeats it
+// on a one-shard store whose cluster index the eviction must carry along
+// (remap the index and slide the shard's sorted scores, no re-clustering).
 //
 // Output: human-readable rows plus JSON result lines (bench::jsonResult
 // schema); the CI workflow archives them as BENCH_refresh_bench.json.
-// Pass --ci for the smaller repetition count used there.
+// Pass --ci for the smaller repetition count used there. Exits non-zero
+// when the incremental refresh is less than MinSpeedupVsRecalibrate times
+// faster than the full recalibrate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +49,9 @@ using namespace prom::bench;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// The floor on full recalibrate / incremental refresh this bench enforces.
+constexpr double MinSpeedupVsRecalibrate = 5.0;
 
 double msSince(Clock::time_point Start) {
   return 1e3 * std::chrono::duration<double>(Clock::now() - Start).count();
@@ -125,18 +133,39 @@ int main(int argc, char **argv) {
   PromClassifier Prom(S.Model, Cfg);
   Prom.calibrate(S.Calib);
 
-  // Stage the calibrated baseline once; each timed rep restores it so
+  // The same store as one shard past ClusterIndexMinEntries, so it
+  // carries a cluster index that the bounded refreshes below must keep
+  // through every eviction (RefreshTest pins that no re-clustering runs).
+  PromConfig IndexedCfg = Cfg;
+  IndexedCfg.NumShards = 1;
+  if (!IndexedCfg.ClusterIndex ||
+      CalibSize < IndexedCfg.ClusterIndexMinEntries) {
+    std::fprintf(stderr, "FATAL: the one-shard store would stay unindexed\n");
+    return 1;
+  }
+  PromClassifier Indexed(S.Model, IndexedCfg);
+  Indexed.calibrate(S.Calib);
+
+  // Stage the calibrated baselines once; each timed rep restores one so
   // every path starts from the identical 10k-entry store.
   const char *Baseline = "refresh_bench_baseline.promsnap";
-  if (!Prom.saveSnapshot(Baseline)) {
+  const char *IndexedBaseline = "refresh_bench_indexed.promsnap";
+  if (!Prom.saveSnapshot(Baseline) || !Indexed.saveSnapshot(IndexedBaseline)) {
     std::fprintf(stderr, "FATAL: cannot stage baseline snapshot\n");
     return 1;
   }
-  auto Restore = [&] {
-    if (!Prom.loadSnapshot(Baseline)) {
+  auto RestoreFrom = [](PromClassifier &D, const char *Path) {
+    if (!D.loadSnapshot(Path)) {
       std::fprintf(stderr, "FATAL: baseline restore failed\n");
       std::exit(1);
     }
+  };
+  auto Restore = [&] { RestoreFrom(Prom, Baseline); };
+  // The snapshot carries the config, so the bound is re-pinned after
+  // every restore: each indexed refresh evicts as many entries as it adds.
+  auto RestoreIndexed = [&] {
+    RestoreFrom(Indexed, IndexedBaseline);
+    Indexed.config().MaxCalibEntries = CalibSize;
   };
 
   // Correctness gate: all three refresh paths must agree bit for bit.
@@ -145,7 +174,14 @@ int main(int argc, char **argv) {
   Restore();
   Prom.refreshCalibration(S.Refresh, /*Incremental=*/false);
   std::vector<Verdict> VFull = Prom.assessBatch(S.Probe);
-  if (!sameVerdicts(VInc, VFull)) {
+  // ... and so must the evicting refresh of the indexed store.
+  RestoreIndexed();
+  Indexed.refreshCalibration(S.Refresh, /*Incremental=*/true);
+  std::vector<Verdict> VIdxInc = Indexed.assessBatch(S.Probe);
+  RestoreIndexed();
+  Indexed.refreshCalibration(S.Refresh, /*Incremental=*/false);
+  std::vector<Verdict> VIdxFull = Indexed.assessBatch(S.Probe);
+  if (!sameVerdicts(VInc, VFull) || !sameVerdicts(VIdxInc, VIdxFull)) {
     std::fprintf(stderr,
                  "FATAL: incremental/full refresh divergence, not timing\n");
     return 1;
@@ -155,7 +191,7 @@ int main(int argc, char **argv) {
               CalibSize, RefreshSize, Prom.numShards());
 
   double FullRecal = 1e300, FullRebuild = 1e300, Incremental = 1e300,
-         BoundedIncremental = 1e300;
+         BoundedIncremental = 1e300, BoundedIndexed = 1e300;
   data::Dataset Union = S.unionSet();
   for (int Rep = 0; Rep < Reps; ++Rep) {
     Restore();
@@ -181,8 +217,15 @@ int main(int argc, char **argv) {
     Prom.refreshCalibration(S.Refresh, /*Incremental=*/true);
     BoundedIncremental = std::min(BoundedIncremental, msSince(T0));
     Prom.config().MaxCalibEntries = 0;
+
+    // The same steady state on the indexed one-shard store.
+    RestoreIndexed();
+    T0 = Clock::now();
+    Indexed.refreshCalibration(S.Refresh, /*Incremental=*/true);
+    BoundedIndexed = std::min(BoundedIndexed, msSince(T0));
   }
   std::remove(Baseline);
+  std::remove(IndexedBaseline);
 
   std::printf("full recalibrate (union calibrate)   : %9.2f ms\n", FullRecal);
   std::printf("refresh, full store rebuild          : %9.2f ms\n",
@@ -191,6 +234,8 @@ int main(int argc, char **argv) {
               Incremental);
   std::printf("refresh, incremental + eviction bound: %9.2f ms\n",
               BoundedIncremental);
+  std::printf("refresh, bounded, indexed one shard   : %9.2f ms\n",
+              BoundedIndexed);
   std::printf("incremental vs full recalibrate      : %9.2fx\n",
               FullRecal / Incremental);
   std::printf("incremental vs full store rebuild    : %9.2fx\n",
@@ -201,9 +246,18 @@ int main(int argc, char **argv) {
   jsonResult("refresh_bench", "refresh_incremental_ms", Incremental);
   jsonResult("refresh_bench", "refresh_incremental_bounded_ms",
              BoundedIncremental);
+  jsonResult("refresh_bench", "refresh_incremental_bounded_indexed_ms",
+             BoundedIndexed);
   jsonResult("refresh_bench", "incremental_vs_full_recalibrate_speedup",
              FullRecal / Incremental);
   jsonResult("refresh_bench", "incremental_vs_full_rebuild_speedup",
              FullRebuild / Incremental);
+  if (FullRecal / Incremental < MinSpeedupVsRecalibrate) {
+    std::fprintf(stderr,
+                 "FAIL: incremental refresh only %.2fx faster than a full "
+                 "recalibrate (floor %.0fx)\n",
+                 FullRecal / Incremental, MinSpeedupVsRecalibrate);
+    return 1;
+  }
   return 0;
 }

@@ -102,48 +102,17 @@ bool CalibrationScores::refinalize(size_t Evict) {
 
 void CalibrationScores::evictFromIndexes(size_t Evict) {
   size_t NumExp = numExperts();
-  size_t LabelBuckets = static_cast<size_t>(MaxLabel + 1);
 
-  // Capture the evicted scores per (expert, label) before the positional
-  // arrays shift, then subtract them from the sorted indexes as sorted
-  // multisets — one linear pass per column instead of per-value erases.
-  std::vector<std::vector<std::vector<double>>> Gone(
-      NumExp, std::vector<std::vector<double>>(LabelBuckets));
-  for (size_t I = 0; I < Evict; ++I) {
-    if (Labels[I] < 0)
-      continue;
-    size_t L = static_cast<size_t>(Labels[I]);
-    for (size_t E = 0; E < NumExp; ++E)
-      Gone[E][L].push_back(ScoreColumns[E][I]);
-  }
+  // Subtract the evicted scores from the sorted indexes before the
+  // positional arrays shift.
+  for (size_t E = 0; E < NumExp; ++E)
+    removeScoresFromIndex(E, 0, Evict, SortedScores[E]);
 
   Entries.erase(Entries.begin(), Entries.begin() + static_cast<long>(Evict));
   Labels.erase(Labels.begin(), Labels.begin() + static_cast<long>(Evict));
   for (std::vector<double> &Column : ScoreColumns)
     Column.erase(Column.begin(), Column.begin() + static_cast<long>(Evict));
   Embeds.eraseFrontRows(Evict);
-
-  for (size_t E = 0; E < NumExp; ++E) {
-    for (size_t L = 0; L < LabelBuckets; ++L) {
-      std::vector<double> &Removed = Gone[E][L];
-      if (Removed.empty())
-        continue;
-      std::sort(Removed.begin(), Removed.end());
-      std::vector<double> &Col = SortedScores[E][L];
-      std::vector<double> Kept;
-      Kept.reserve(Col.size() - Removed.size());
-      size_t G = 0;
-      for (double V : Col) {
-        if (G < Removed.size() && V == Removed[G]) {
-          ++G;
-          continue;
-        }
-        Kept.push_back(V);
-      }
-      assert(G == Removed.size() && "evicted score missing from the index");
-      Col = std::move(Kept);
-    }
-  }
 
   // Eviction can retire the largest label entirely; a fresh finalize would
   // size its buckets to the surviving maximum, so mirror that here.
@@ -199,6 +168,33 @@ void CalibrationScores::mergeScoresIntoIndex(
     Col.insert(Col.end(), Fresh.begin(), Fresh.end());
     std::inplace_merge(Col.begin(), Col.begin() + static_cast<long>(Mid),
                        Col.end());
+  }
+}
+
+void CalibrationScores::removeScoresFromIndex(
+    size_t Expert, size_t Begin, size_t End,
+    std::vector<std::vector<double>> &SortedScores) const {
+  std::vector<std::vector<double>> GoneByLabel(SortedScores.size());
+  for (size_t I = Begin; I < End; ++I)
+    if (Labels[I] >= 0)
+      GoneByLabel[static_cast<size_t>(Labels[I])].push_back(
+          ScoreColumns[Expert][I]);
+  for (size_t L = 0; L < GoneByLabel.size(); ++L) {
+    std::vector<double> &Gone = GoneByLabel[L];
+    if (Gone.empty())
+      continue;
+    std::sort(Gone.begin(), Gone.end());
+    std::vector<double> &Col = SortedScores[L];
+    size_t G = 0, W = 0;
+    for (double V : Col) {
+      if (G < Gone.size() && V == Gone[G]) {
+        ++G;
+        continue;
+      }
+      Col[W++] = V;
+    }
+    assert(G == Gone.size() && "removed score missing from the index");
+    Col.resize(W);
   }
 }
 

@@ -191,6 +191,16 @@ public:
                             std::vector<std::vector<double>> &SortedScores)
       const;
 
+  /// The inverse of mergeScoresIntoIndex(): subtracts the scores of
+  /// entries [\p Begin, \p End) of expert \p Expert from \p SortedScores
+  /// as sorted multisets — one linear in-place pass per label bucket, so
+  /// the bucket keeps its capacity and stays ascending. Every removed
+  /// score must be present. The flat eviction and the sharded store's
+  /// shard slide both remove through this one step.
+  void removeScoresFromIndex(size_t Expert, size_t Begin, size_t End,
+                             std::vector<std::vector<double>> &SortedScores)
+      const;
+
   /// Median nearest-neighbour distance (0 before finalize()).
   double medianNNDist() const { return MedianNNDist; }
 

@@ -19,6 +19,22 @@ namespace {
 /// threshold only gates parallelism, never the arithmetic.
 constexpr size_t MinEntriesForFanOut = 512;
 
+/// Calls \p Fn(Begin, End) on the (at most two) pieces of [\p Begin,
+/// \p End) that lie outside [\p XBegin, \p XEnd).
+template <typename F>
+void forEachOutside(size_t Begin, size_t End, size_t XBegin, size_t XEnd,
+                    F Fn) {
+  if (XBegin >= XEnd) {
+    if (Begin < End)
+      Fn(Begin, End);
+    return;
+  }
+  if (Begin < std::min(End, XBegin))
+    Fn(Begin, std::min(End, XBegin));
+  if (std::max(Begin, XEnd) < End)
+    Fn(std::max(Begin, XEnd), End);
+}
+
 } // namespace
 
 void CalibrationStore::finalize(size_t NumShards) {
@@ -48,13 +64,13 @@ void CalibrationStore::refinalize() {
   size_t Evict =
       MaxEntries != 0 && Flat.size() > MaxEntries ? Flat.size() - MaxEntries
                                                   : 0;
+  if (Evict > 0) {
+    refinalizeEvicting(Evict);
+    return;
+  }
   size_t Staged = stagedEntries();
   size_t OldIndexed = Flat.indexedCount();
-
-  bool Incremental = Flat.refinalize(Evict);
-  if (!Incremental || Evict > 0) {
-    // Eviction re-blocks every surviving entry (block membership is
-    // positional), so the per-shard indexes are stale wholesale.
+  if (!Flat.refinalize(0)) {
     buildShards(TargetShards);
     return;
   }
@@ -80,6 +96,69 @@ void CalibrationStore::refinalize() {
   // The extension left the last shard's index covering only a prefix; the
   // staleness policy decides whether the exact tail scan is still cheap
   // enough or the index re-clusters now.
+  updateShardIndexes(/*Force=*/false);
+}
+
+void CalibrationStore::refinalizeEvicting(size_t Evict) {
+  // Eviction shifts every survivor down by Evict, so block membership and
+  // the block-aligned partition move with it. When the partition of the
+  // surviving size keeps the shard count, every shard slides instead of
+  // re-sorting: its sorted scores drop the entries that left its range
+  // and merge in the ones that entered (with one shard: the evicted and
+  // the appended), and the cluster indexes drop their evicted rows.
+  std::vector<ShardRange> Ranges =
+      blockPartition(Flat.size() - Evict, TargetShards);
+  bool Slide = Evict < Flat.indexedCount() && Ranges.size() == Shards.size();
+  size_t NumExp = Flat.numExperts();
+  support::ThreadPool &Pool = support::ThreadPool::global();
+  if (Slide) {
+    // Removal reads the scores at their pre-eviction positions, so it runs
+    // before the flat refinalize shifts them. Every (shard, expert) bucket
+    // set is disjoint state, so the fan-out cannot change a bit.
+    Pool.parallelFor(Shards.size() * NumExp, [&](size_t Begin, size_t End) {
+      for (size_t W = Begin; W < End; ++W) {
+        Shard &Sh = Shards[W / NumExp];
+        const ShardRange &To = Ranges[W / NumExp];
+        size_t Expert = W % NumExp;
+        std::vector<std::vector<double>> &Buckets = Sh.SortedScores[Expert];
+        forEachOutside(Sh.Begin, Sh.End, To.Begin + Evict, To.End + Evict,
+                       [&](size_t B, size_t E) {
+                         Flat.removeScoresFromIndex(Expert, B, E, Buckets);
+                       });
+      }
+    });
+  }
+  if (!Flat.refinalize(Evict) || !Slide) {
+    // A degenerate eviction swallowed the indexed prefix, or the shard
+    // count changed: rebuild every shard and re-cluster.
+    buildShards(TargetShards);
+    return;
+  }
+
+  size_t LabelBuckets = static_cast<size_t>(Flat.maxLabel() + 1);
+  auto Shifted = [&](size_t Row) { return Row > Evict ? Row - Evict : 0; };
+  Pool.parallelFor(Shards.size() * NumExp, [&](size_t Begin, size_t End) {
+    for (size_t W = Begin; W < End; ++W) {
+      Shard &Sh = Shards[W / NumExp];
+      const ShardRange &To = Ranges[W / NumExp];
+      size_t Expert = W % NumExp;
+      std::vector<std::vector<double>> &Buckets = Sh.SortedScores[Expert];
+      // Buckets of a retired label are empty by now; a new label needs one.
+      Buckets.resize(LabelBuckets);
+      forEachOutside(To.Begin, To.End, Shifted(Sh.Begin), Shifted(Sh.End),
+                     [&](size_t B, size_t E) {
+                       Flat.mergeScoresIntoIndex(Expert, B, E, Buckets);
+                     });
+    }
+  });
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    Shards[S].Begin = Ranges[S].Begin;
+    Shards[S].End = Ranges[S].End;
+  }
+  for (support::ClusterIndex &Idx : ShardIndexes)
+    Idx.evictOldest(Evict);
+  // The appended rows are uncovered; the staleness policy decides whether
+  // they are still cheap to scan exactly or the indexes re-cluster now.
   updateShardIndexes(/*Force=*/false);
 }
 
@@ -117,32 +196,36 @@ void CalibrationStore::extendLastShard(size_t OldEnd) {
   Last.End = NewEnd;
 }
 
-void CalibrationStore::buildShards(size_t NumShards) {
-  Shards.clear();
-  size_t N = Flat.size();
-  size_t NumBlocks = Flat.numAccumBlocks();
+std::vector<CalibrationStore::ShardRange>
+CalibrationStore::blockPartition(size_t N, size_t NumShards) {
+  std::vector<ShardRange> Ranges;
+  size_t NumBlocks = (N + CalibrationAccumBlock - 1) / CalibrationAccumBlock;
   if (NumBlocks == 0)
-    return;
-  if (NumShards == 0)
-    NumShards = 1;
+    return Ranges;
   // A shard owns whole accumulation blocks, so block partials never
   // straddle shards and the general-path merge stays K-invariant.
-  NumShards = std::min(NumShards, NumBlocks);
+  NumShards = std::min(std::max<size_t>(NumShards, 1), NumBlocks);
   size_t BlocksPerShard = (NumBlocks + NumShards - 1) / NumShards;
-
-  size_t NumExp = Flat.numExperts();
-  size_t LabelBuckets = static_cast<size_t>(Flat.maxLabel() + 1);
-  for (size_t S = 0; S < NumShards; ++S) {
-    size_t FirstBlock = S * BlocksPerShard;
-    if (FirstBlock >= NumBlocks)
-      break;
+  for (size_t FirstBlock = 0; FirstBlock < NumBlocks;
+       FirstBlock += BlocksPerShard) {
     size_t LastBlock = std::min(NumBlocks, FirstBlock + BlocksPerShard);
+    Ranges.push_back({FirstBlock * CalibrationAccumBlock,
+                      std::min(N, LastBlock * CalibrationAccumBlock)});
+  }
+  return Ranges;
+}
+
+void CalibrationStore::buildShards(size_t NumShards) {
+  Shards.clear();
+  for (const ShardRange &Range : blockPartition(Flat.size(), NumShards)) {
     Shard Sh;
-    Sh.Begin = FirstBlock * CalibrationAccumBlock;
-    Sh.End = std::min(N, LastBlock * CalibrationAccumBlock);
+    Sh.Begin = Range.Begin;
+    Sh.End = Range.End;
     Shards.push_back(std::move(Sh));
   }
 
+  size_t NumExp = Flat.numExperts();
+  size_t LabelBuckets = static_cast<size_t>(Flat.maxLabel() + 1);
   // Per-shard index builds touch disjoint state, so they fan out over the
   // pool; each shard's sort depends only on its own entry range, never on
   // which lane ran it. Runs inline when nested under an active region.
@@ -192,54 +275,78 @@ size_t CalibrationStore::memoryBytes() const {
   return Bytes;
 }
 
+size_t CalibrationStore::coveredRows(size_t Begin, size_t End) const {
+  size_t Count = 0;
+  for (const support::ClusterIndex &Idx : ShardIndexes)
+    if (Idx.valid() && Idx.beginRow() < End && Begin < Idx.endRow())
+      Count += std::min(End, Idx.endRow()) - std::max(Begin, Idx.beginRow());
+  return Count;
+}
+
 size_t CalibrationStore::unindexedEntries() const {
   size_t Count = 0;
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    size_t Covered =
-        S < ShardIndexes.size() && ShardIndexes[S].valid()
-            ? ShardIndexes[S].endRow() - ShardIndexes[S].beginRow()
-            : 0;
-    Count += (Shards[S].End - Shards[S].Begin) - Covered;
-  }
+  for (const Shard &Sh : Shards)
+    Count += (Sh.End - Sh.Begin) - coveredRows(Sh.Begin, Sh.End);
   return Count;
 }
 
 void CalibrationStore::updateShardIndexes(bool Force) {
-  ShardIndexes.resize(Shards.size());
-  if (Force)
-    for (support::ClusterIndex &Idx : ShardIndexes)
-      Idx.clear();
+  size_t K = Shards.size();
+  ShardIndexes.resize(K);
+  auto Wants = [&](size_t S) {
+    return IndexPolicy.Enabled &&
+           Shards[S].End - Shards[S].Begin >= IndexPolicy.MinEntries;
+  };
+  for (size_t S = 0; S < K; ++S)
+    if (Force || !Wants(S))
+      ShardIndexes[S].clear();
+
+  // Rows no index covers — the tails appended since a build — are scanned
+  // exactly by the pruned path, so a kept index stays lossless and just
+  // prunes less. A shard re-clusters once its uncovered share outgrows
+  // MaxStaleFraction (or nothing covers it at all).
+  std::vector<char> Rebuild(K, 0);
+  bool AnyRebuild = false;
+  for (size_t S = 0; S < K; ++S) {
+    if (!Wants(S))
+      continue;
+    size_t Size = Shards[S].End - Shards[S].Begin;
+    size_t Covered = coveredRows(Shards[S].Begin, Shards[S].End);
+    if (Covered > 0 && static_cast<double>(Size - Covered) <=
+                           IndexPolicy.MaxStaleFraction *
+                               static_cast<double>(Size))
+      continue;
+    Rebuild[S] = 1;
+    AnyRebuild = true;
+  }
+  // A rebuilt index spans its whole shard. Eviction slides the kept
+  // indexes across shard boundaries, and one that reaches outside its own
+  // shard could overlap the rebuilt one — the pruned scan needs disjoint
+  // ranges — so then every index re-clusters.
+  if (AnyRebuild)
+    for (size_t S = 0; S < K; ++S) {
+      const support::ClusterIndex &Idx = ShardIndexes[S];
+      if (!Rebuild[S] && Idx.valid() &&
+          (Idx.beginRow() < Shards[S].Begin || Idx.endRow() > Shards[S].End)) {
+        for (size_t T = 0; T < K; ++T)
+          Rebuild[T] = Wants(T);
+        break;
+      }
+    }
+
   // Per-shard builds touch disjoint state and kMeansMatrix is thread-count
   // deterministic, so the fan-out cannot change any index bit (and runs
-  // inline when nested under an active pool region).
-  support::ThreadPool::global().parallelFor(
-      Shards.size(), [&](size_t Begin, size_t End) {
-        for (size_t S = Begin; S < End; ++S)
-          updateShardIndex(S);
-      });
-}
-
-void CalibrationStore::updateShardIndex(size_t S) {
-  const Shard &Sh = Shards[S];
-  support::ClusterIndex &Idx = ShardIndexes[S];
-  size_t Size = Sh.End - Sh.Begin;
-  if (!IndexPolicy.Enabled || Size < IndexPolicy.MinEntries) {
-    Idx.clear();
-    return;
-  }
-  if (Idx.valid() && Idx.beginRow() == Sh.Begin && Idx.endRow() <= Sh.End) {
-    // Entries [endRow, Sh.End) were appended after the build; they are
-    // scanned exactly by the pruned path, so the index stays lossless —
-    // it just prunes less. Rebuild once the tail stops being cheap.
-    size_t Tail = Sh.End - Idx.endRow();
-    if (static_cast<double>(Tail) <=
-        IndexPolicy.MaxStaleFraction * static_cast<double>(Size))
-      return;
-  }
-  // Seed per shard position: deterministic across rebuilds and thread
-  // counts, decorrelated between shards.
-  Idx.build(Flat.embedMatrix(), Sh.Begin, Sh.End, IndexPolicy.NumCentroids,
-            IndexPolicy.Seed ^ (0x9E3779B97F4A7C15ull * (Sh.Begin + 1)));
+  // inline when nested under an active pool region). Seeds follow the
+  // shard position: deterministic across rebuilds and thread counts,
+  // decorrelated between shards.
+  support::ThreadPool::global().parallelFor(K, [&](size_t Begin, size_t End) {
+    for (size_t S = Begin; S < End; ++S)
+      if (Rebuild[S])
+        ShardIndexes[S].build(
+            Flat.embedMatrix(), Shards[S].Begin, Shards[S].End,
+            IndexPolicy.NumCentroids,
+            IndexPolicy.Seed ^ (0x9E3779B97F4A7C15ull * (Shards[S].Begin + 1)));
+  });
 }
 
 PrunedScanStats CalibrationStore::BatchPrunedScan::aggregated() const {
@@ -372,17 +479,21 @@ void CalibrationStore::selectForAssessmentPruned(
     S.Pruned.RowsScanned += End - Begin;
   };
 
-  // Phase 1 — mandatory exact rows: unindexed shards and the stale tails
-  // appended after each index was built. Scanning them first also seeds
-  // the pruning bound before any list is visited.
-  for (size_t SI = 0; SI < Shards.size(); ++SI) {
-    const Shard &Sh = Shards[SI];
-    const support::ClusterIndex &Idx = ShardIndexes[SI];
-    if (Idx.valid())
-      ScanRange(Idx.endRow(), Sh.End);
-    else
-      ScanRange(Sh.Begin, Sh.End);
+  // Phase 1 — mandatory exact rows: every live row no index covers
+  // (unindexed shards and the tails appended since a build). The index
+  // ranges are sorted and disjoint but need not match the shards (eviction
+  // slides them), so one ascending cursor walks the gaps between them.
+  // Scanning these first also seeds the pruning bound before any list is
+  // visited.
+  size_t Cursor = 0;
+  for (const support::ClusterIndex &Idx : ShardIndexes) {
+    if (!Idx.valid())
+      continue;
+    assert(Idx.beginRow() >= Cursor && "index ranges overlap or are unsorted");
+    ScanRange(Cursor, Idx.beginRow());
+    Cursor = Idx.endRow();
   }
+  ScanRange(Cursor, Flat.indexedCount());
 
   // Phase 2 — rank every live index's lists globally by query-centroid
   // distance (the scan order only affects how fast the bound tightens,

@@ -59,7 +59,7 @@ struct ClusterIndexPolicy {
   bool Enabled = false;        ///< Use the pruned scan at all.
   size_t NumCentroids = 0;     ///< Per-shard lists; 0 = ~sqrt(shard rows).
   size_t MinEntries = 8192;    ///< Smaller shards stay unindexed.
-  double MaxStaleFraction = 0.25; ///< Unindexed-tail share forcing rebuild.
+  double MaxStaleFraction = 0.25; ///< Uncovered shard share forcing rebuild.
   /// Largest Keep/N the pruned scan serves; larger selections fall back to
   /// the exact flat scan, which is faster there (the pruned path must
   /// visit at least the kept rows anyway).
@@ -124,11 +124,23 @@ public:
   /// Folds the staged entries into the live indexes incrementally:
   /// oldest-first eviction down to maxEntries(), appended embedding rows /
   /// score columns, sort + merge inserts into the flat and per-shard
-  /// sorted-score indexes (the last shard absorbs the new accumulation
-  /// blocks; the partition rebalances when it drifts past 2x the even
-  /// share). Costs O(new + affected indexes) instead of the full
-  /// O(N log N + N x dim) rebuild — and none of the model forwards a
-  /// detector-level recalibration would redo.
+  /// sorted-score indexes, none of the model forwards a detector-level
+  /// recalibration would redo.
+  ///
+  ///  * Append-only: the last shard absorbs the new accumulation blocks
+  ///    (the partition rebalances when it drifts past 2x the even share);
+  ///    O(new) plus the merges into the touched sorted indexes.
+  ///  * With eviction: every shard slides onto the partition of the
+  ///    survivors — a linear multiset removal of the entries that left it
+  ///    and a merge of those that entered — and the cluster indexes drop
+  ///    their evicted rows and shift their ids instead of re-clustering.
+  ///    O(N) copies and linear passes, no sort of the whole store and no
+  ///    k-means.
+  ///
+  /// Still rebuilt from scratch: a degenerate eviction that swallows the
+  /// indexed prefix, a rebalance, or a change in shard count. The indexes
+  /// re-cluster only under the staleness rule (ClusterIndexPolicy::
+  /// MaxStaleFraction of a shard uncovered) or with a rebuilt partition.
   ///
   /// Verdicts afterwards are bit-identical to refinalizeFull() — and to a
   /// brand-new store finalized on the surviving entries — for every shard
@@ -268,20 +280,40 @@ private:
     std::vector<std::vector<std::vector<double>>> SortedScores;
   };
 
+  /// Entry range [Begin, End) of one shard of a block-aligned partition.
+  struct ShardRange {
+    size_t Begin = 0;
+    size_t End = 0;
+  };
+
+  /// The even block-aligned partition of \p N entries into at most
+  /// \p NumShards shards (one per accumulation block when there are fewer
+  /// blocks) — the layout buildShards() builds.
+  static std::vector<ShardRange> blockPartition(size_t N, size_t NumShards);
+
   void buildShards(size_t NumShards);
 
   /// Extends the last shard over entries [\p OldEnd, size()) — the
   /// block-aligned insert of the incremental refresh path.
   void extendLastShard(size_t OldEnd);
 
-  /// Reconciles every shard's cluster index with the policy and the
-  /// current partition: builds missing indexes on shards past MinEntries,
-  /// rebuilds indexes whose stale tail outgrew MaxStaleFraction, drops
-  /// the rest. \p Force clears first (partition changed wholesale).
+  /// The refinalize() step for a refresh that evicts the \p Evict oldest
+  /// entries: slides every shard onto the partition of the surviving
+  /// entries (sorted-score multiset removal + merge) and remaps the
+  /// cluster indexes (ClusterIndex::evictOldest) when the shard count is
+  /// unchanged; rebuilds the shards otherwise.
+  void refinalizeEvicting(size_t Evict);
+
+  /// Reconciles the cluster indexes with the policy and the current
+  /// partition: drops the indexes of shards under MinEntries, and
+  /// re-clusters a shard whose rows no index covers exceed
+  /// MaxStaleFraction of it — every shard, when a kept index reaches
+  /// outside its own shard (so the ranges stay disjoint). \p Force clears
+  /// first (partition changed wholesale).
   void updateShardIndexes(bool Force);
 
-  /// The decide-and-build step of updateShardIndexes() for shard \p S.
-  void updateShardIndex(size_t S);
+  /// Rows of [\p Begin, \p End) some valid cluster index covers.
+  size_t coveredRows(size_t Begin, size_t End) const;
 
   /// The shared routing predicate of the pruned scan: true when the policy
   /// is enabled, at least one shard is indexed, and the \p Cfg selection is

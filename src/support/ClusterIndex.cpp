@@ -30,13 +30,47 @@ static size_t autoCentroids(size_t N) {
   return std::max<size_t>(8, std::min<size_t>(K, 4096));
 }
 
-void ClusterIndex::clear() {
-  BeginRow = EndRow = 0;
-  Centroids.clear();
-  Rows.clear();
-  RowIds.clear();
-  ListOffsets.clear();
-  ListRMax.clear();
+void ClusterIndex::clear() { *this = ClusterIndex(); }
+
+void ClusterIndex::evictOldest(size_t Count) {
+  if (Count == 0 || !valid())
+    return;
+  if (EndRow <= Count) {
+    clear();
+    return;
+  }
+  if (BeginRow < Count) {
+    // Ids ascend inside each list, so a list's evicted members form its
+    // prefix: one binary search and one block copy per list.
+    size_t Stride = Rows.stride();
+    FeatureMatrix KeptRows(EndRow - Count, Rows.dim());
+    std::vector<uint32_t> KeptIds(EndRow - Count);
+    size_t W = 0;
+    for (size_t L = 0; L < numLists(); ++L) {
+      size_t LE = ListOffsets[L + 1];
+      size_t First = static_cast<size_t>(
+          std::lower_bound(RowIds.begin() + static_cast<long>(ListOffsets[L]),
+                           RowIds.begin() + static_cast<long>(LE),
+                           static_cast<uint32_t>(Count)) -
+          RowIds.begin());
+      ListOffsets[L] = W;
+      if (First == LE)
+        continue;
+      std::copy(Rows.rowPtr(First), Rows.rowPtr(First) + (LE - First) * Stride,
+                KeptRows.rowPtr(W));
+      std::copy(RowIds.begin() + static_cast<long>(First),
+                RowIds.begin() + static_cast<long>(LE), KeptIds.begin() + W);
+      W += LE - First;
+    }
+    assert(W == KeptIds.size() && "evicted rows outside the covered range");
+    ListOffsets[numLists()] = W;
+    Rows = std::move(KeptRows);
+    RowIds = std::move(KeptIds);
+  }
+  for (uint32_t &Id : RowIds)
+    Id -= static_cast<uint32_t>(Count);
+  BeginRow = BeginRow > Count ? BeginRow - Count : 0;
+  EndRow -= Count;
 }
 
 void ClusterIndex::build(const FeatureMatrix &Source, size_t Begin,

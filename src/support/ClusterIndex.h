@@ -100,8 +100,18 @@ public:
   void build(const FeatureMatrix &Rows, size_t Begin, size_t End,
              size_t NumCentroids, uint64_t Seed);
 
-  /// Drops the index (valid() becomes false).
+  /// Drops the index and releases its storage (valid() becomes false).
   void clear();
+
+  /// Follows an oldest-first eviction of \p Count rows from the source
+  /// matrix without re-clustering: removes the grouped rows whose id is
+  /// below \p Count (a prefix of each list, whose ids ascend), compacts the
+  /// grouped block into exact-size storage (stable inside each list), and
+  /// shifts the surviving ids and the covered range down by \p Count. The
+  /// centroids and list radii stay: a radius over a subset of a list
+  /// still bounds every survivor, so pruning stays lossless. Clears the
+  /// index when no covered row survives.
+  void evictOldest(size_t Count);
 
   /// True when build() ran and the index covers at least one row.
   bool valid() const { return !Centroids.empty(); }

@@ -53,19 +53,27 @@ FeatureMatrix gridRows(size_t N, size_t Dim, Rng &R) {
   return M;
 }
 
-/// The exact oracle: full l2Sq1xN scan + selectNearest, returned in the
-/// same (distSq, id) pair form nearestPruned produces.
+/// The exact oracle over rows [Begin, End): l2Sq1xN scan + selectNearest,
+/// returned in the (distSq, row id) pair form nearestPruned produces.
 std::vector<std::pair<double, uint32_t>>
-fullScanNearest(const FeatureMatrix &Rows, const double *Query, size_t K) {
-  std::vector<double> DistSq(Rows.rows());
-  kernels::l2Sq1xN(Query, Rows.data(), Rows.rows(), Rows.dim(),
-                   Rows.stride(), DistSq.data());
-  std::vector<size_t> Near = selectNearest(DistSq.data(), Rows.rows(), K);
+rangeScanNearest(const FeatureMatrix &Rows, size_t Begin, size_t End,
+                 const double *Query, size_t K) {
+  std::vector<double> DistSq(End - Begin);
+  if (Begin < End)
+    kernels::l2Sq1xN(Query, Rows.rowPtr(Begin), End - Begin, Rows.dim(),
+                     Rows.stride(), DistSq.data());
+  std::vector<size_t> Near = selectNearest(DistSq.data(), End - Begin, K);
   std::vector<std::pair<double, uint32_t>> Out;
   Out.reserve(Near.size());
   for (size_t Idx : Near)
-    Out.push_back({DistSq[Idx], static_cast<uint32_t>(Idx)});
+    Out.push_back({DistSq[Idx], static_cast<uint32_t>(Begin + Idx)});
   return Out;
+}
+
+/// The exact oracle over every row: full scan + selectNearest.
+std::vector<std::pair<double, uint32_t>>
+fullScanNearest(const FeatureMatrix &Rows, const double *Query, size_t K) {
+  return rangeScanNearest(Rows, 0, Rows.rows(), Query, K);
 }
 
 void expectSamePairs(const std::vector<std::pair<double, uint32_t>> &Got,
@@ -619,4 +627,131 @@ TEST(ClusterIndexTest, ClearAndRebuild) {
   EXPECT_EQ(Index.coveredRows(), 100u);
   std::vector<double> Query(Rows.dim(), 0.0);
   EXPECT_EQ(Index.nearestPruned(Query.data(), 3).size(), 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// evictOldest: following an oldest-first eviction without re-clustering
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Evicts the \p Evict oldest rows from a copy of \p Index and of the rows
+/// it was built on (the store's order: the source matrix loses its front
+/// rows, the index follows), then demands that nearestPruned and
+/// nearestPrunedBatch equal the exact scan of the surviving covered rows,
+/// with the shifted ids, pair for pair.
+void expectEvictedIndexExact(const FeatureMatrix &Rows,
+                             const ClusterIndex &Built, size_t Evict,
+                             Rng &R) {
+  SCOPED_TRACE("evict " + std::to_string(Evict));
+  ClusterIndex Index = Built;
+  Index.evictOldest(Evict);
+  FeatureMatrix Survivors = Rows;
+  Survivors.eraseFrontRows(Evict);
+
+  size_t Begin = std::max(Built.beginRow(), Evict) - Evict;
+  size_t End = Built.endRow() - Evict;
+  ASSERT_TRUE(Index.valid());
+  EXPECT_EQ(Index.beginRow(), Begin);
+  EXPECT_EQ(Index.endRow(), End);
+  EXPECT_EQ(Index.coveredRows(), End - Begin);
+  EXPECT_EQ(Index.listEnd(Index.numLists() - 1), End - Begin);
+  EXPECT_EQ(Index.numLists(), Built.numLists());
+
+  FeatureMatrix Queries = randomRows(6, Rows.dim(), R);
+  for (size_t K : {size_t(1), size_t(9), size_t(150), Rows.rows()}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    std::vector<std::vector<std::pair<double, uint32_t>>> Batch =
+        Index.nearestPrunedBatch(Queries, K);
+    ASSERT_EQ(Batch.size(), Queries.rows());
+    for (size_t Q = 0; Q < Queries.rows(); ++Q) {
+      SCOPED_TRACE("query " + std::to_string(Q));
+      std::vector<std::pair<double, uint32_t>> Want =
+          rangeScanNearest(Survivors, Begin, End, Queries.rowPtr(Q), K);
+      expectSamePairs(Index.nearestPruned(Queries.rowPtr(Q), K), Want);
+      expectSamePairs(Batch[Q], Want);
+    }
+  }
+}
+
+} // namespace
+
+TEST(ClusterIndexTest, EvictOldestZeroIsANoop) {
+  Rng R(61);
+  FeatureMatrix Rows = randomRows(900, 6, R);
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), 0, 5);
+  size_t Bytes = Index.memoryBytes();
+  expectEvictedIndexExact(Rows, Index, 0, R);
+  Index.evictOldest(0);
+  EXPECT_EQ(Index.coveredRows(), Rows.rows());
+  EXPECT_EQ(Index.memoryBytes(), Bytes);
+}
+
+TEST(ClusterIndexTest, EvictOldestSplittingListsStaysExact) {
+  for (uint64_t Seed : {12u, 406u}) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed);
+    FeatureMatrix Rows = randomRows(2000, 7, R);
+    ClusterIndex Index;
+    Index.build(Rows, 0, Rows.rows(), 0, Seed);
+    ASSERT_TRUE(Index.valid());
+    for (size_t Evict : {size_t(1), size_t(333), size_t(1999)}) {
+      // The eviction must actually cut through a list: members on both
+      // sides of the evicted prefix.
+      bool Splits = false;
+      for (size_t L = 0; L < Index.numLists() && !Splits; ++L)
+        Splits = Index.listBegin(L) < Index.listEnd(L) &&
+                 Index.rowId(Index.listBegin(L)) < Evict &&
+                 Index.rowId(Index.listEnd(L) - 1) >= Evict;
+      EXPECT_TRUE(Splits);
+      expectEvictedIndexExact(Rows, Index, Evict, R);
+    }
+  }
+}
+
+TEST(ClusterIndexTest, EvictOldestTieHeavyGridStaysExact) {
+  Rng R(2718);
+  FeatureMatrix Rows = gridRows(1500, 5, R);
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), 24, 17);
+  expectEvictedIndexExact(Rows, Index, 700, R);
+}
+
+TEST(ClusterIndexTest, EvictOldestPastCoveredRangeClears) {
+  Rng R(83);
+  FeatureMatrix Rows = randomRows(800, 4, R);
+  for (size_t Evict : {size_t(500), size_t(650)}) {
+    ClusterIndex Index;
+    Index.build(Rows, 0, 500, 0, 3);
+    ASSERT_TRUE(Index.valid());
+    Index.evictOldest(Evict);
+    EXPECT_FALSE(Index.valid());
+    EXPECT_EQ(Index.coveredRows(), 0u);
+    EXPECT_EQ(Index.memoryBytes(), 0u);
+  }
+}
+
+TEST(ClusterIndexTest, EvictOldestBeforeCoveredRangeOnlyShiftsIds) {
+  Rng R(97);
+  FeatureMatrix Rows = randomRows(1000, 5, R);
+  ClusterIndex Index;
+  Index.build(Rows, 300, 900, 0, 9);
+  ASSERT_TRUE(Index.valid());
+  expectEvictedIndexExact(Rows, Index, 200, R);
+  expectEvictedIndexExact(Rows, Index, 300, R);
+}
+
+TEST(ClusterIndexTest, EvictOldestReportsCompactedMemory) {
+  // The fleet registry meters tenants with memoryBytes(): an evicted
+  // index must report its compacted blocks, not the pre-eviction ones.
+  Rng R(5);
+  FeatureMatrix Rows = randomRows(3000, 8, R);
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), 0, 1);
+  size_t Before = Index.memoryBytes();
+  Index.evictOldest(1000);
+  EXPECT_LE(Index.memoryBytes(),
+            Before - 1000 * (Rows.stride() * sizeof(double) +
+                             sizeof(uint32_t)));
 }

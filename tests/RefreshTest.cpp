@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 using namespace prom;
@@ -224,8 +225,9 @@ TEST(RefreshTest, DetectorRefreshMatchesFullRebuildReference) {
 TEST(RefreshTest, ClusterIndexSurvivesRefreshLifecycle) {
   // The per-shard cluster indexes are derived state riding along the
   // refresh lifecycle: small appends leave a stale (exactly scanned)
-  // tail, a large enough tail triggers a per-shard rebuild, and
-  // eviction / rebalance / reshard invalidate the indexes wholesale.
+  // tail, a large enough tail triggers a per-shard rebuild, eviction
+  // drops the evicted rows from the indexes, and rebalance / reshard
+  // invalidate the indexes wholesale.
   // After every mutation the pruned store must still match a from-scratch
   // exact-scan reference bit for bit.
   for (size_t K : {size_t(1), size_t(4)}) {
@@ -270,18 +272,36 @@ TEST(RefreshTest, ClusterIndexSurvivesRefreshLifecycle) {
     expectBothRegimesMatch(Live, referenceStore(All, K), 302,
                            "rebuilt-after-staleness");
 
-    // Eviction re-blocks every entry: indexes rebuild wholesale and the
-    // store still matches the reference on the survivors.
-    Live.setMaxEntries(2048);
-    Fresh = makeEntries(400, 6, 3, 2, R);
-    All.insert(All.end(), Fresh.begin(), Fresh.end());
-    Live.appendEntries(std::move(Fresh));
-    Live.refinalize();
-    All.erase(All.begin(),
-              All.begin() + static_cast<long>(All.size() - 2048));
-    ASSERT_EQ(Live.size(), 2048u);
-    EXPECT_GT(Live.indexedShards(), 0u);
+    // Eviction at a full store keeps the indexes: start from a fresh
+    // build, pin the bound to the size, and refresh — every shard slides
+    // by the 64 evicted entries and the indexes drop those rows instead of
+    // re-clustering, so exactly the appended rows stay uncovered.
+    Live.setIndexPolicy(Policy);
+    ASSERT_EQ(Live.unindexedEntries(), 0u);
+    size_t Appended = 0;
+    auto EvictingRefresh = [&](size_t Bound, size_t Count) {
+      Live.setMaxEntries(Bound);
+      Fresh = makeEntries(Count, 6, 3, 2, R);
+      All.insert(All.end(), Fresh.begin(), Fresh.end());
+      Live.appendEntries(std::move(Fresh));
+      Live.refinalize();
+      All.erase(All.begin(),
+                All.begin() + static_cast<long>(All.size() - Bound));
+      Appended += Count;
+      ASSERT_EQ(Live.size(), Bound);
+      EXPECT_GT(Live.indexedShards(), 0u);
+      EXPECT_EQ(Live.unindexedEntries(), Appended);
+    };
+    EvictingRefresh(Live.size(), 64);
     expectBothRegimesMatch(Live, referenceStore(All, K), 303, "evicted");
+
+    // A lower bound evicts most of the store: at K=4 the first shard's
+    // index loses every row and clears, the others now straddle the new
+    // shard boundaries, and the pruned scan must still cover every row
+    // exactly once.
+    EvictingRefresh(2048, 40);
+    expectBothRegimesMatch(Live, referenceStore(All, K), 307,
+                           "evicted-past-first-index");
 
     // Reshard moves every boundary; indexes follow the new partition.
     Live.reshard(K == 1 ? 4 : 1);
@@ -303,6 +323,96 @@ TEST(RefreshTest, ClusterIndexSurvivesRefreshLifecycle) {
     expectBothRegimesMatch(Live, referenceStore(All, K == 1 ? 4 : 1), 306,
                            "policy-back-on");
   }
+}
+
+TEST(RefreshTest, SteadyStateEvictionReclustersOnlyWhenStale) {
+  // A continuously refreshed full store: every refresh appends 64 rows and
+  // evicts the 64 oldest. The indexes slide along and re-cluster only when
+  // the uncovered rows outgrow MaxStaleFraction of a shard, so the
+  // uncovered share stays bounded while verdicts stay bit-identical.
+  for (size_t K : {size_t(1), size_t(4)}) {
+    SCOPED_TRACE("K=" + std::to_string(K));
+    support::Rng R(2468);
+    std::vector<CalibrationEntry> All = makeEntries(4096, 6, 3, 2, R);
+    CalibrationStore Live;
+    for (const CalibrationEntry &E : All)
+      Live.add(E);
+    ClusterIndexPolicy Policy;
+    Policy.Enabled = true;
+    Policy.MinEntries = 64;
+    Policy.MaxStaleFraction = 0.25;
+    Policy.MaxSelectFraction = 1.0;
+    Live.setIndexPolicy(Policy);
+    Live.finalize(K);
+    Live.setMaxEntries(All.size());
+
+    size_t Rebuilds = 0;
+    for (int Step = 0; Step < 128; ++Step) {
+      SCOPED_TRACE("refresh " + std::to_string(Step));
+      size_t Before = Live.unindexedEntries();
+      std::vector<CalibrationEntry> Fresh = makeEntries(64, 6, 3, 2, R);
+      All.insert(All.end(), Fresh.begin(), Fresh.end());
+      All.erase(All.begin(), All.begin() + 64);
+      Live.appendEntries(std::move(Fresh));
+      Live.refinalize();
+      ASSERT_EQ(Live.size(), All.size());
+      ASSERT_EQ(Live.indexedShards(), Live.numShards());
+      // Without a rebuild exactly the 64 appended rows join the uncovered.
+      if (Live.unindexedEntries() != Before + 64)
+        ++Rebuilds;
+      ASSERT_LE(static_cast<double>(Live.unindexedEntries()),
+                Policy.MaxStaleFraction * static_cast<double>(Live.size()));
+      if (Step % 32 == 31)
+        expectBothRegimesMatch(Live, referenceStore(All, K),
+                               500 + static_cast<uint64_t>(Step),
+                               ("refresh " + std::to_string(Step)).c_str());
+    }
+    // Re-clustering happened, but only for a minority of the refreshes:
+    // the rest kept the indexes through their eviction.
+    EXPECT_GT(Rebuilds, 0u);
+    EXPECT_LT(Rebuilds, 64u);
+  }
+}
+
+TEST(RefreshTest, BoundedRefreshesDoNotGrowMemory) {
+  // The fleet registry budgets tenants by memoryBytes(): a fixed-size
+  // store under continuous bounded refresh must not report more memory
+  // as the cycles go by — the indexes report their compacted storage.
+  support::Rng R(1357);
+  CalibrationStore Live;
+  // Moved in like the refreshed entries, so every entry's vectors carry
+  // the same capacity and replacing one never changes the footprint.
+  for (CalibrationEntry &E : makeEntries(4096, 6, 3, 2, R))
+    Live.add(std::move(E));
+  ClusterIndexPolicy Policy;
+  Policy.Enabled = true;
+  Policy.MinEntries = 64;
+  Policy.MaxStaleFraction = 0.25;
+  Live.setIndexPolicy(Policy);
+  Live.finalize(1);
+  Live.setMaxEntries(Live.size());
+
+  auto Refresh = [&] {
+    Live.appendEntries(makeEntries(64, 6, 3, 2, R));
+    Live.refinalize();
+  };
+  // Warm up to the first re-clustering: the positional arrays have grown
+  // past their exact finalize() size by then, and the index covers the
+  // whole store again — the peak of a slide cycle.
+  int WarmUp = 0;
+  do {
+    Refresh();
+    ASSERT_LT(++WarmUp, 64) << "the index never re-clustered";
+  } while (Live.unindexedEntries() != 0);
+  size_t Peak = Live.memoryBytes();
+  size_t Low = Peak;
+  for (int Step = 0; Step < 50; ++Step) {
+    Refresh();
+    EXPECT_LE(Live.memoryBytes(), Peak) << "refresh " << Step;
+    Low = std::min(Low, Live.memoryBytes());
+  }
+  // Between re-clusterings the slid index shrinks, and the report follows.
+  EXPECT_LT(Low, Peak);
 }
 
 TEST(RefreshTest, EmptyRefreshIsANoop) {

@@ -139,7 +139,9 @@ std::vector<CalibrationEntry> makeTieHeavyEntries(size_t N, size_t Dim,
 /// flat scan). The two must agree bit for bit on every selection and
 /// p-value — the losslessness property, randomized over dims, shard
 /// counts, duplicate/tie-heavy embeddings, and mutation interleavings.
-void runPrunedProgram(uint64_t Seed) {
+/// Returns how many evicting refreshes kept an index instead of
+/// re-clustering (see the counting below).
+size_t runPrunedProgram(uint64_t Seed) {
   SCOPED_TRACE("failure seed " + std::to_string(Seed) +
                " (replay: PROM_STORE_PROP_SEED=" + std::to_string(Seed) +
                ")");
@@ -170,7 +172,10 @@ void runPrunedProgram(uint64_t Seed) {
   Policy.MaxSelectFraction = 1.0;
   Live.setIndexPolicy(Policy);
   Live.finalize(K);
-  ASSERT_GT(Live.indexedShards(), 0u) << "policy did not index any shard";
+  size_t SurvivedEvictions = 0;
+  EXPECT_GT(Live.indexedShards(), 0u) << "policy did not index any shard";
+  if (Live.indexedShards() == 0)
+    return SurvivedEvictions;
   size_t MaxEntries = 0;
 
   const int NumOps = 10;
@@ -183,7 +188,16 @@ void runPrunedProgram(uint64_t Seed) {
       Mirror.insert(Mirror.end(), Fresh.begin(), Fresh.end());
       Live.appendEntries(std::move(Fresh));
       Live.refinalize();
+      size_t Before = Mirror.size();
       applyEviction(Mirror, MaxEntries);
+      // An index survived the eviction when the store leaves more rows
+      // uncovered than a fresh build on the same partition would.
+      if (Mirror.size() < Before && Live.indexedShards() > 0) {
+        CalibrationStore Rebuilt = Live;
+        Rebuilt.setIndexPolicy(Live.indexPolicy());
+        if (Live.unindexedEntries() > Rebuilt.unindexedEntries())
+          ++SurvivedEvictions;
+      }
       break;
     }
     case 2: { // Full rebuild (indexes rebuilt wholesale).
@@ -220,7 +234,7 @@ void runPrunedProgram(uint64_t Seed) {
         ADD_FAILURE() << "pruned-store property violated; failure seed "
                       << Seed << " — replay with PROM_STORE_PROP_SEED="
                       << Seed;
-        return;
+        return SurvivedEvictions;
       }
     }
   }
@@ -241,6 +255,7 @@ void runPrunedProgram(uint64_t Seed) {
     EXPECT_LE(S.Pruned.RowsScanned, S.Pruned.RowsTotal);
     EXPECT_LE(S.Pruned.ListsScanned, S.Pruned.ListsTotal);
   }
+  return SurvivedEvictions;
 }
 
 /// Batch-prepared pruned scans must be a pure caching transformation: a
@@ -359,9 +374,13 @@ TEST(StorePropertyTest, RandomLifecyclesMatchFromScratchRebuild) {
 }
 
 TEST(StorePropertyTest, PrunedLifecyclesMatchExactScan) {
+  size_t SurvivedEvictions = 0;
   for (uint64_t Seed : {20260801ull, 20260802ull, 20260803ull, 20260804ull,
                         20260805ull, 20260806ull, 20260807ull, 20260808ull})
-    runPrunedProgram(Seed);
+    SurvivedEvictions += runPrunedProgram(Seed);
+  // Evicting refreshes must remap the indexes, not re-cluster them: a
+  // silent return to rebuild-on-evict fails here, not just in a bench.
+  EXPECT_GT(SurvivedEvictions, 0u);
 }
 
 TEST(StorePropertyTest, BatchPreparedScansMatchPerQuerySelection) {

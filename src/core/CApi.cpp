@@ -53,19 +53,28 @@ PromConfig configFor(double Epsilon) {
   return Cfg;
 }
 
-/// Rotates a new snapshot generation of \p Engine into \p Dir.
-bool rotateSnapshot(const PromClassifier &Engine, const std::string &Dir,
-                    size_t KeepGenerations) {
-  if (Dir.empty() || !support::ensureDirectory(Dir))
-    return false;
-  std::vector<uint64_t> Gens = support::listSnapshotGenerations(Dir);
-  uint64_t Gen = Gens.empty() ? 1 : Gens.back() + 1;
-  if (!Engine.saveSnapshot(Dir + "/" + support::snapshotGenerationFile(Gen)))
-    return false;
-  if (!support::commitLatestPointer(Dir, Gen))
-    return false;
-  support::pruneSnapshotGenerations(Dir, KeepGenerations);
-  return true;
+/// Packs \p N host rows in \p Layout's shape, assesses them through
+/// \p Engine's batch engine and fills the C out-arrays (the optional
+/// credibility / confidence ones when non-null).
+void assessRows(const PromClassifier &Engine,
+                const ml::HostOutputClassifier &Layout, size_t N,
+                const double *Probabilities, const double *Features,
+                int *RejectOut, double *CredOut, double *ConfOut) {
+  int C = Layout.numClasses(), D = Layout.featureDim();
+  data::Dataset Batch;
+  Batch.reserve(N);
+  for (size_t I = 0; I < N; ++I)
+    Batch.add(ml::HostOutputClassifier::pack(
+        Probabilities + I * static_cast<size_t>(C),
+        Features + I * static_cast<size_t>(D), C, D));
+  std::vector<Verdict> Verdicts = Engine.assessBatch(Batch);
+  for (size_t I = 0; I < Verdicts.size(); ++I) {
+    RejectOut[I] = Verdicts[I].Drifted ? 1 : 0;
+    if (CredOut)
+      CredOut[I] = Verdicts[I].meanCredibility();
+    if (ConfOut)
+      ConfOut[I] = Verdicts[I].meanConfidence();
+  }
 }
 
 } // namespace
@@ -95,6 +104,13 @@ struct prom_fleet {
   std::map<std::string, std::unique_ptr<ml::HostOutputClassifier>> Models;
   /// Adapters of installed detectors, kept alive for their engines.
   std::vector<std::unique_ptr<ml::HostOutputClassifier>> Retired;
+
+  /// The adapter registered for \p Tenant, or null.
+  ml::HostOutputClassifier *model(const std::string &Tenant) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto It = Models.find(Tenant);
+    return It == Models.end() ? nullptr : It->second.get();
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -154,15 +170,11 @@ int prom_finalize(prom_detector *d) {
 int prom_should_reject(const prom_detector *d, const double *probabilities,
                        const double *features, double *credibility_out,
                        double *confidence_out) {
-  if (!d || !probabilities || !features || !d->Finalized)
-    return -1;
-  Verdict V = d->Engine->assess(ml::HostOutputClassifier::pack(
-      probabilities, features, d->numClasses(), d->featureDim()));
-  if (credibility_out)
-    *credibility_out = V.meanCredibility();
-  if (confidence_out)
-    *confidence_out = V.meanConfidence();
-  return V.Drifted ? 1 : 0;
+  int Reject = 0;
+  return prom_assess_batch(d, 1, probabilities, features, &Reject,
+                           credibility_out, confidence_out) == 0
+             ? Reject
+             : -1;
 }
 
 int prom_assess_batch(const prom_detector *d, size_t n,
@@ -171,29 +183,22 @@ int prom_assess_batch(const prom_detector *d, size_t n,
                       double *confidence_out) {
   if (!d || !probabilities || !features || !reject_out || !d->Finalized)
     return -1;
-  data::Dataset Batch;
-  Batch.reserve(n);
-  for (size_t I = 0; I < n; ++I)
-    Batch.add(ml::HostOutputClassifier::pack(
-        probabilities + I * static_cast<size_t>(d->numClasses()),
-        features + I * static_cast<size_t>(d->featureDim()), d->numClasses(),
-        d->featureDim()));
-  std::vector<Verdict> Verdicts = d->Engine->assessBatch(Batch);
-  for (size_t I = 0; I < Verdicts.size(); ++I) {
-    reject_out[I] = Verdicts[I].Drifted ? 1 : 0;
-    if (credibility_out)
-      credibility_out[I] = Verdicts[I].meanCredibility();
-    if (confidence_out)
-      confidence_out[I] = Verdicts[I].meanConfidence();
-  }
+  assessRows(*d->Engine, *d->Model, n, probabilities, features, reject_out,
+             credibility_out, confidence_out);
   return 0;
 }
 
 int prom_save(const prom_detector *d, const char *snapshot_dir) {
-  if (!d || !snapshot_dir || !d->Finalized)
+  if (!d || !snapshot_dir || !*snapshot_dir || !d->Finalized)
     return -1;
-  return rotateSnapshot(*d->Engine, snapshot_dir, CApiKeepGenerations) ? 0
-                                                                       : -1;
+  // Next generation after everything on disk.
+  return support::rotateSnapshotGeneration(
+             snapshot_dir, /*Gen=*/0, CApiKeepGenerations,
+             [&](const std::string &Path) {
+               return d->Engine->saveSnapshot(Path);
+             })
+             ? 0
+             : -1;
 }
 
 int prom_predicted_label(const prom_detector *d,
@@ -239,14 +244,10 @@ int prom_fleet_register(prom_fleet *f, const char *tenant, int num_classes,
 int prom_fleet_install(prom_fleet *f, const char *tenant, prom_detector *d) {
   if (!f || !tenant || !d || !d->Finalized)
     return -1;
-  {
-    std::lock_guard<std::mutex> Lock(f->Mutex);
-    auto It = f->Models.find(tenant);
-    if (It == f->Models.end() ||
-        It->second->numClasses() != d->numClasses() ||
-        It->second->featureDim() != d->featureDim())
-      return -1;
-  }
+  ml::HostOutputClassifier *Model = f->model(tenant);
+  if (!Model || Model->numClasses() != d->numClasses() ||
+      Model->featureDim() != d->featureDim())
+    return -1;
   if (!f->Registry.installDetector(tenant, std::move(d->Engine)))
     return -1;
   // The installed engine references the handle's adapter model; retire
@@ -262,26 +263,12 @@ int prom_fleet_install(prom_fleet *f, const char *tenant, prom_detector *d) {
 int prom_fleet_assess(prom_fleet *f, const char *tenant,
                       const double *probabilities, const double *features,
                       double *credibility_out, double *confidence_out) {
-  if (!f || !tenant || !probabilities || !features)
-    return -1;
-  ml::HostOutputClassifier *Model;
-  {
-    std::lock_guard<std::mutex> Lock(f->Mutex);
-    auto It = f->Models.find(tenant);
-    if (It == f->Models.end())
-      return -1;
-    Model = It->second.get();
-  }
-  serve::DetectorRegistry::Lease Lease = f->Registry.acquire(tenant);
-  if (!Lease)
-    return -1;
-  Verdict V = Lease.engine()->assess(ml::HostOutputClassifier::pack(
-      probabilities, features, Model->numClasses(), Model->featureDim()));
-  if (credibility_out)
-    *credibility_out = V.meanCredibility();
-  if (confidence_out)
-    *confidence_out = V.meanConfidence();
-  return V.Drifted ? 1 : 0;
+  int Reject = 0;
+  return prom_fleet_assess_batch(f, tenant, 1, probabilities, features,
+                                 &Reject, credibility_out,
+                                 confidence_out) == 0
+             ? Reject
+             : -1;
 }
 
 int prom_fleet_assess_batch(prom_fleet *f, const char *tenant, size_t n,
@@ -290,32 +277,14 @@ int prom_fleet_assess_batch(prom_fleet *f, const char *tenant, size_t n,
                             double *credibility_out, double *confidence_out) {
   if (!f || !tenant || !probabilities || !features || !reject_out)
     return -1;
-  ml::HostOutputClassifier *Model;
-  {
-    std::lock_guard<std::mutex> Lock(f->Mutex);
-    auto It = f->Models.find(tenant);
-    if (It == f->Models.end())
-      return -1;
-    Model = It->second.get();
-  }
+  ml::HostOutputClassifier *Model = f->model(tenant);
+  if (!Model)
+    return -1;
   serve::DetectorRegistry::Lease Lease = f->Registry.acquire(tenant);
   if (!Lease)
     return -1;
-  data::Dataset Batch;
-  Batch.reserve(n);
-  for (size_t I = 0; I < n; ++I)
-    Batch.add(ml::HostOutputClassifier::pack(
-        probabilities + I * static_cast<size_t>(Model->numClasses()),
-        features + I * static_cast<size_t>(Model->featureDim()),
-        Model->numClasses(), Model->featureDim()));
-  std::vector<Verdict> Verdicts = Lease.engine()->assessBatch(Batch);
-  for (size_t I = 0; I < Verdicts.size(); ++I) {
-    reject_out[I] = Verdicts[I].Drifted ? 1 : 0;
-    if (credibility_out)
-      credibility_out[I] = Verdicts[I].meanCredibility();
-    if (confidence_out)
-      confidence_out[I] = Verdicts[I].meanConfidence();
-  }
+  assessRows(*Lease.engine(), *Model, n, probabilities, features, reject_out,
+             credibility_out, confidence_out);
   return 0;
 }
 

@@ -19,7 +19,7 @@
 #ifndef PROM_CORE_DETECTOR_H
 #define PROM_CORE_DETECTOR_H
 
-#include "core/CalibrationStore.h"
+#include "core/DetectorCore.h"
 #include "core/IncrementalLearner.h"
 #include "core/Nonconformity.h"
 #include "core/PromConfig.h"
@@ -38,42 +38,17 @@
 /// Datasets, samples, feature scaling, and split utilities.
 
 namespace prom {
-namespace data {
-class StandardScaler;
-} // namespace data
-
-/// One nonconformity function's judgement of a prediction (Sec. 5.3).
-struct ExpertOpinion {
-  double Credibility = 0.0;   ///< P-value of the predicted label/cluster.
-  double Confidence = 0.0;    ///< Gaussian of the prediction-set size.
-  size_t PredictionSetSize = 0; ///< Labels with p-value above epsilon.
-  bool FlagDrift = false;     ///< Both scores below their thresholds.
-};
 
 /// Committee verdict for a classification prediction.
-struct Verdict {
+struct Verdict : CommitteeVerdict {
   int Predicted = -1;                ///< Argmax class of the model.
   std::vector<double> Probabilities; ///< Temperature-softened class probs.
-  bool Drifted = false;              ///< Committee flagged this input.
-  size_t VotesToFlag = 0;            ///< Experts that voted "drift".
-  std::vector<ExpertOpinion> Experts; ///< One opinion per committee expert.
-
-  /// Mean expert credibility (0 with an empty committee).
-  double meanCredibility() const;
-  /// Mean expert confidence (0 with an empty committee).
-  double meanConfidence() const;
 };
 
 /// Committee verdict for a regression prediction.
-struct RegressionVerdict {
+struct RegressionVerdict : CommitteeVerdict {
   double Predicted = 0.0;     ///< The model's point prediction.
   int Cluster = -1;           ///< Pseudo-label assigned to the input.
-  bool Drifted = false;       ///< Committee flagged this input.
-  size_t VotesToFlag = 0;     ///< Experts that voted "drift".
-  std::vector<ExpertOpinion> Experts; ///< One opinion per committee expert.
-
-  /// Mean expert credibility (0 with an empty committee).
-  double meanCredibility() const;
 };
 
 /// Uniform accept/reject interface shared with the baselines.
@@ -147,13 +122,13 @@ public:
                             bool Incremental = true);
 
   /// Live calibration entries (0 before calibrate()).
-  size_t calibrationSize() const;
+  size_t calibrationSize() const { return Core.calibrationSize(); }
 
   /// Estimated heap footprint of the calibrated state (the live
   /// calibration store with its indexes; the wrapped model is external
   /// and not counted). The serve::DetectorRegistry meters loaded tenants
   /// with this against its memory budget.
-  size_t memoryBytes() const;
+  size_t memoryBytes() const { return sizeof(*this) + Core.memoryBytes(); }
 
   /// The fitted softening temperature (1 = untouched).
   double temperature() const { return Temperature; }
@@ -194,27 +169,27 @@ public:
   /// assessment and by tests of the CP validity property).
   std::vector<double> pValues(const data::Sample &S, size_t Expert) const;
 
-  const PromConfig &config() const { return Cfg; }   ///< Current knobs.
-  PromConfig &config() { return Cfg; }               ///< Mutable knobs.
+  const PromConfig &config() const { return Core.config(); } ///< Knobs.
+  PromConfig &config() { return Core.config(); } ///< Mutable knobs.
   size_t numExperts() const { return Scorers.size(); } ///< Committee size.
   /// Committee expert \p I.
   const ClassificationScorer &scorer(size_t I) const { return *Scorers[I]; }
   const ml::Classifier &model() const { return Model; } ///< Wrapped model.
   /// True once calibrate() (or a snapshot load) has run.
-  bool isCalibrated() const;
+  bool isCalibrated() const { return Core.isCalibrated(); }
 
   /// Shard count of the calibration store (1 before calibration).
-  size_t numShards() const;
+  size_t numShards() const { return Core.numShards(); }
 
   /// Re-partitions the calibration store into \p NumShards shards without
   /// recalibrating; verdicts are unchanged by contract. Publishes the
   /// re-partitioned store with the same atomic swap as
   /// refreshCalibration(), so it is safe against concurrent assessments.
-  void reshard(size_t NumShards);
+  void reshard(size_t NumShards) { Core.reshard(NumShards); }
 
   /// Writes a versioned binary snapshot of the calibrated detector state —
-  /// config, fitted temperature, committee (by scorer name), calibration
-  /// entries, and optionally the deployment feature \p Scaler — so a
+  /// config, committee (by scorer name), calibration entries, fitted
+  /// temperature, and optionally the deployment feature \p Scaler — so a
   /// restarted server can loadSnapshot() instead of recalibrating. Returns
   /// false on I/O failure.
   bool saveSnapshot(const std::string &Path,
@@ -229,36 +204,10 @@ public:
                     data::StandardScaler *Scaler = nullptr);
 
 private:
-  /// Model probabilities softened by the fitted temperature.
-  std::vector<double> softenedProbs(const data::Sample &S) const;
-
-  /// Committee assessment of rows [Begin, End) of a batch whose softened
-  /// probabilities and embeddings are already computed, against the
-  /// pinned \p Store. \p Scan is the batch's prepared pruned-scan context
-  /// (inactive when the pruned routing is not in force); each query reads
-  /// its own precomputed centroid-distance row and writes its own stats
-  /// slot, so concurrent ranges never touch shared state.
-  void assessRange(const CalibrationStore &Store,
-                   const support::Matrix &Probs,
-                   const support::Matrix &Embeds, size_t Begin, size_t End,
-                   std::vector<Verdict> &Out,
-                   CalibrationStore::BatchPrunedScan &Scan) const;
-
-  /// Pins the live store (atomic load). Every public entry point takes
-  /// one snapshot up front and uses it throughout, so a concurrent
-  /// refreshCalibration()/reshard() swap never splits a batch across two
-  /// stores; the shared_ptr keeps the old generation alive until its last
-  /// in-flight batch retires (RCU-style reclamation).
-  std::shared_ptr<const CalibrationStore> store() const;
-
-  /// Publishes \p NewStore (atomic swap).
-  void installStore(std::shared_ptr<const CalibrationStore> NewStore);
-
   const ml::Classifier &Model;
-  PromConfig Cfg;
+  /// Config, live calibration store, batch driver and snapshot envelope.
+  DetectorCore Core;
   std::vector<std::unique_ptr<ClassificationScorer>> Scorers;
-  /// Live calibration store; access only through store()/installStore().
-  std::shared_ptr<const CalibrationStore> Calib;
   double Temperature = 1.0;
 };
 
@@ -332,56 +281,50 @@ public:
   /// The oracle of the equivalence tests and the serial bench baseline.
   RegressionVerdict assessSerial(const data::Sample &S) const;
 
-  const PromConfig &config() const { return Cfg; }   ///< Current knobs.
-  PromConfig &config() { return Cfg; }               ///< Mutable knobs.
+  const PromConfig &config() const { return Core.config(); } ///< Knobs.
+  PromConfig &config() { return Core.config(); } ///< Mutable knobs.
   size_t numExperts() const { return Scorers.size(); } ///< Committee size.
   size_t numClusters() const { return Centroids.rows(); } ///< Pseudo-labels.
   const ml::Regressor &model() const { return Model; } ///< Wrapped model.
   /// True once calibrate() (or a snapshot load) has run.
-  bool isCalibrated() const { return !Calib.empty(); }
+  bool isCalibrated() const { return Core.isCalibrated(); }
 
   /// Shard count of the calibration store (1 before calibration).
-  size_t numShards() const {
-    return Calib.numShards() ? Calib.numShards() : 1;
-  }
+  size_t numShards() const { return Core.numShards(); }
 
-  /// See PromClassifier::reshard().
-  void reshard(size_t NumShards) { Calib.reshard(NumShards); }
+  /// Re-partitions the calibration store into \p NumShards shards; the
+  /// same copy-modify-publish atomic swap as PromClassifier::reshard(),
+  /// so it is safe against concurrent assessments and leaves verdicts
+  /// unchanged.
+  void reshard(size_t NumShards) { Core.reshard(NumShards); }
 
-  /// Regression snapshot: config, committee names, calibration entries,
-  /// k-NN embeddings/targets, centroids, residual IQR, optional scaler.
-  /// Same format/guarantees as the classifier snapshot. The k-NN embedding
-  /// block is a second copy of the entries' embeddings.
+  /// Regression snapshot: the classifier's layout with the fitted block
+  /// holding the calibration targets, the pseudo-label centroids and the
+  /// residual IQR (docs/SNAPSHOT_FORMAT.md). Same guarantees as
+  /// PromClassifier::saveSnapshot().
   bool saveSnapshot(const std::string &Path,
                     const data::StandardScaler *Scaler = nullptr) const;
   /// Restores a regressor snapshot; see PromClassifier::loadSnapshot()
   /// for the validation and failure guarantees. Also rejects a snapshot
-  /// whose k-NN embedding block is not bit-equal to the entries'
-  /// embeddings or whose centroids do not have the embedding width.
+  /// whose target count differs from its entry count or whose centroids
+  /// do not have the embedding width.
   bool loadSnapshot(const std::string &Path,
                     data::StandardScaler *Scaler = nullptr);
 
 private:
-  /// k-NN ground-truth statistics of one test embedding (Sec. 5.1.1):
-  /// \p Embed must point at embedDim() values.
-  RegressionScoreInput makeScoreInput(const double *Embed,
+  /// k-NN ground-truth statistics of one test embedding (Sec. 5.1.1)
+  /// against the pinned \p Store: \p Embed must point at embedDim()
+  /// values.
+  RegressionScoreInput makeScoreInput(const CalibrationStore &Store,
+                                      const double *Embed,
                                       double Prediction) const;
 
-  /// Committee assessment of rows [Begin, End) of a batch with precomputed
-  /// predictions and embeddings. \p Scan is the store's prepared
-  /// pruned-scan context; each query reads its own slice, so concurrent
-  /// ranges never share state.
-  void assessRange(const std::vector<double> &Predictions,
-                   const support::Matrix &Embeds, size_t Begin, size_t End,
-                   std::vector<RegressionVerdict> &Out,
-                   CalibrationStore::BatchPrunedScan &Scan) const;
-
   const ml::Regressor &Model;
-  PromConfig Cfg;
+  /// Config, live calibration store, batch driver and snapshot envelope.
+  /// The k-NN ground-truth lookups scan the pinned store's flat embedding
+  /// block (flat().embedMatrix()), whose row I is entry I.
+  DetectorCore Core;
   std::vector<std::unique_ptr<RegressionScorer>> Scorers;
-  /// Calibration store; the k-NN ground-truth lookups scan its flat
-  /// embedding block (flat().embedMatrix()), whose row I is entry I.
-  CalibrationStore Calib;
   /// True target of calibration entry I.
   std::vector<double> CalibTargets;
   /// Pseudo-label centroids, one row per cluster.

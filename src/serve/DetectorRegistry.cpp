@@ -264,23 +264,17 @@ bool DetectorRegistry::saveLocked(Entry &E) {
   assert(E.Engine && "saving a cold tenant");
   if (E.Spec.SnapshotDir.empty())
     return false;
-  if (!support::ensureDirectory(E.Spec.SnapshotDir))
-    return false;
   // Next generation after everything on disk — the tenant's controller
   // numbers its rotations the same way, so the two writers interleave
   // into one strictly increasing sequence. (No race: the controller is
   // only saving between our lock releases, and eviction shuts it down
   // before the engine goes away.)
-  std::vector<uint64_t> Gens =
-      support::listSnapshotGenerations(E.Spec.SnapshotDir);
-  uint64_t Gen = Gens.empty() ? 1 : Gens.back() + 1;
-  std::string Path =
-      E.Spec.SnapshotDir + "/" + support::snapshotGenerationFile(Gen);
-  if (!E.Engine->saveSnapshot(Path))
+  if (!support::rotateSnapshotGeneration(
+          E.Spec.SnapshotDir, /*Gen=*/0, Cfg.KeepGenerations,
+          [&](const std::string &Path) {
+            return E.Engine->saveSnapshot(Path);
+          }))
     return false;
-  if (!support::commitLatestPointer(E.Spec.SnapshotDir, Gen))
-    return false;
-  support::pruneSnapshotGenerations(E.Spec.SnapshotDir, Cfg.KeepGenerations);
   ++Stats.SnapshotsSaved;
   return true;
 }

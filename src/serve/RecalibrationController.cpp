@@ -325,13 +325,11 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     Backoff = Cfg.RefreshRetryBackoff;
     for (size_t Attempt = 1; Attempt <= Cfg.MaxRefreshAttempts && !Rotated;
          ++Attempt) {
-      std::string Path = Cfg.SnapshotDir + "/" +
-                         support::snapshotGenerationFile(Generation);
-      if (support::ensureDirectory(Cfg.SnapshotDir) &&
-          Engine.saveSnapshot(Path, SnapScaler) &&
-          support::commitLatestPointer(Cfg.SnapshotDir, Generation)) {
-        support::pruneSnapshotGenerations(Cfg.SnapshotDir,
-                                          Cfg.KeepGenerations);
+      if (support::rotateSnapshotGeneration(
+              Cfg.SnapshotDir, Generation, Cfg.KeepGenerations,
+              [&](const std::string &Path) {
+                return Engine.saveSnapshot(Path, SnapScaler);
+              })) {
         Rotated = true;
         break;
       }

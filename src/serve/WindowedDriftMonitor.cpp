@@ -17,41 +17,21 @@ WindowedDriftMonitor::WindowedDriftMonitor(DriftWindowConfig CfgIn)
   Ring.resize(Cfg.WindowSize);
 }
 
-void WindowedDriftMonitor::record(const Verdict &V) {
+void WindowedDriftMonitor::record(const CommitteeVerdict &V) {
   fold(V.Drifted, /*Mispredicted=*/-1, nullptr, 0);
 }
 
-void WindowedDriftMonitor::record(const RegressionVerdict &V) {
-  fold(V.Drifted, /*Mispredicted=*/-1, nullptr, 0);
-}
-
-void WindowedDriftMonitor::record(const Verdict &V, const double *Features,
-                                  size_t Dims) {
-  fold(V.Drifted, /*Mispredicted=*/-1, Features, Dims);
-}
-
-void WindowedDriftMonitor::record(const RegressionVerdict &V,
+void WindowedDriftMonitor::record(const CommitteeVerdict &V,
                                   const double *Features, size_t Dims) {
   fold(V.Drifted, /*Mispredicted=*/-1, Features, Dims);
 }
 
-void WindowedDriftMonitor::recordLabeled(const Verdict &V,
+void WindowedDriftMonitor::recordLabeled(const CommitteeVerdict &V,
                                          bool Mispredicted) {
   fold(V.Drifted, Mispredicted ? 1 : 0, nullptr, 0);
 }
 
-void WindowedDriftMonitor::recordLabeled(const RegressionVerdict &V,
-                                         bool Mispredicted) {
-  fold(V.Drifted, Mispredicted ? 1 : 0, nullptr, 0);
-}
-
-void WindowedDriftMonitor::recordLabeled(const Verdict &V, bool Mispredicted,
-                                         const double *Features,
-                                         size_t Dims) {
-  fold(V.Drifted, Mispredicted ? 1 : 0, Features, Dims);
-}
-
-void WindowedDriftMonitor::recordLabeled(const RegressionVerdict &V,
+void WindowedDriftMonitor::recordLabeled(const CommitteeVerdict &V,
                                          bool Mispredicted,
                                          const double *Features,
                                          size_t Dims) {

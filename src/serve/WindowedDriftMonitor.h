@@ -81,10 +81,8 @@ public:
   /// Constructs an empty window under \p Cfg.
   explicit WindowedDriftMonitor(DriftWindowConfig Cfg = DriftWindowConfig());
 
-  /// Folds one deployment verdict (no ground truth).
-  void record(const Verdict &V);
-  /// Folds one regression verdict (no ground truth).
-  void record(const RegressionVerdict &V);
+  /// Folds one deployment verdict of either detector (no ground truth).
+  void record(const CommitteeVerdict &V);
 
   /// record() carrying the assessed feature/embedding vector (\p Features
   /// points at \p Dims values): the vector and the rejection flag are
@@ -92,24 +90,16 @@ public:
   /// alert raised by this verdict snapshots an attribution state that
   /// already includes it. Without a sink attached this is exactly
   /// record() — the window counters never depend on the features.
-  void record(const Verdict &V, const double *Features, size_t Dims);
-  /// Feature-carrying fold of a regression verdict; see the classifier
-  /// overload.
-  void record(const RegressionVerdict &V, const double *Features,
+  void record(const CommitteeVerdict &V, const double *Features,
               size_t Dims);
 
   /// Folds one verdict with ground truth: \p Mispredicted is the label of
   /// the DetectionCounts fold ("the underlying model got this one wrong").
-  void recordLabeled(const Verdict &V, bool Mispredicted);
-  /// Labeled fold of a regression verdict; see the classifier overload.
-  void recordLabeled(const RegressionVerdict &V, bool Mispredicted);
+  void recordLabeled(const CommitteeVerdict &V, bool Mispredicted);
 
   /// Labeled fold carrying the assessed feature vector; see the
   /// feature-carrying record() overload.
-  void recordLabeled(const Verdict &V, bool Mispredicted,
-                     const double *Features, size_t Dims);
-  /// Labeled feature-carrying fold of a regression verdict.
-  void recordLabeled(const RegressionVerdict &V, bool Mispredicted,
+  void recordLabeled(const CommitteeVerdict &V, bool Mispredicted,
                      const double *Features, size_t Dims);
 
   /// Consistent view of every statistic.

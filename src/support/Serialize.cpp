@@ -358,3 +358,18 @@ size_t prom::support::pruneSnapshotGenerations(const std::string &Dir,
   }
   return Removed;
 }
+
+bool prom::support::rotateSnapshotGeneration(
+    const std::string &Dir, uint64_t Gen, size_t KeepCount,
+    const std::function<bool(const std::string &Path)> &Save) {
+  if (Gen == 0) {
+    std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
+    Gen = Gens.empty() ? 1 : Gens.back() + 1;
+  }
+  if (!ensureDirectory(Dir) ||
+      !Save(joinPath(Dir, snapshotGenerationFile(Gen))) ||
+      !commitLatestPointer(Dir, Gen))
+    return false;
+  pruneSnapshotGenerations(Dir, KeepCount);
+  return true;
+}

@@ -35,6 +35,7 @@
 #define PROM_SUPPORT_SERIALIZE_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,16 @@ std::string resolveLatestSnapshot(const std::string &Dir);
 /// the generation the `latest` pointer names. Returns how many files were
 /// removed.
 size_t pruneSnapshotGenerations(const std::string &Dir, size_t KeepCount);
+
+/// Rotates generation \p Gen (0: the one after the newest on disk) into
+/// \p Dir with the write protocol above: creates the directory, writes
+/// the generation file through \p Save (given its full path), commits the
+/// `latest` pointer, then prunes down to \p KeepCount generations.
+/// Returns false, with the pointer left on the previous generation, when
+/// a step before the commit fails.
+bool rotateSnapshotGeneration(
+    const std::string &Dir, uint64_t Gen, size_t KeepCount,
+    const std::function<bool(const std::string &Path)> &Save);
 
 } // namespace support
 } // namespace prom

@@ -9,7 +9,8 @@
 // unsharded (K=1) path and to the assessSerial() oracle — exact
 // floating-point equality on every expert score. Covers the general
 // weighted path (block-partial merge), the unweighted full-selection fast
-// path (per-shard sorted-index counts), the regressor, and reshard().
+// path (per-shard sorted-index counts), the regressor, and reshard() —
+// also while another thread keeps assessing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
+#include <thread>
 
 using namespace prom;
 using prom::testing::gaussianBlobs;
@@ -263,5 +266,52 @@ TEST(ShardedStoreTest, RegressorShardCountInvariant) {
       EXPECT_EQ(V1[I].Experts[E].Credibility, V8[I].Experts[E].Credibility);
       EXPECT_EQ(V1[I].Experts[E].Confidence, V8[I].Experts[E].Confidence);
     }
+  }
+}
+
+TEST(ShardedStoreTest, RegressorReshardUnderConcurrentAssessment) {
+  // The regressor twin of ReshardLeavesVerdictsUnchanged, run concurrently:
+  // one thread reshards while another loops assessBatch. reshard()
+  // publishes a re-partitioned copy with an atomic swap and every batch
+  // pins one whole store, so every verdict equals the pre-reshard verdicts
+  // bit for bit (and the TSan leg sees no race on the store).
+  support::Rng R(78);
+  data::Dataset Train = linearRegression(400, 0.1, R);
+  data::Dataset Calib = linearRegression(1200, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+
+  PromConfig Cfg;
+  Cfg.FixedClusters = 4;
+  Cfg.NumShards = 2;
+  PromRegressor Prom(Model, Cfg);
+  support::Rng CalR(5);
+  Prom.calibrate(Calib, CalR);
+  data::Dataset Test = linearRegression(40, 0.1, R);
+  std::vector<RegressionVerdict> Before = Prom.assessBatch(Test);
+
+  // The writer keeps resharding until the reader has finished all its
+  // batches, so every batch overlaps a reshard in flight.
+  constexpr size_t NumBatches = 12;
+  std::vector<std::vector<RegressionVerdict>> Seen;
+  std::atomic<bool> ReaderDone{false};
+  std::thread Reader([&] {
+    for (size_t B = 0; B < NumBatches; ++B)
+      Seen.push_back(Prom.assessBatch(Test));
+    ReaderDone = true;
+  });
+  const size_t Ks[] = {8, 3, 1, 16};
+  size_t Reshards = 0;
+  while (!ReaderDone.load())
+    Prom.reshard(Ks[Reshards++ % 4]);
+  Reader.join();
+  EXPECT_GT(Reshards, 0u);
+
+  Seen.push_back(Prom.assessBatch(Test));
+  for (size_t B = 0; B < Seen.size(); ++B) {
+    SCOPED_TRACE("batch " + std::to_string(B));
+    ASSERT_EQ(Seen[B].size(), Before.size());
+    for (size_t I = 0; I < Before.size(); ++I)
+      prom::testing::expectSameRegressionVerdict(Before[I], Seen[B][I], I);
   }
 }

@@ -469,11 +469,12 @@ void runStoreScaleStudy(size_t N) {
 
     // Bit-identity gate plus the pruning counters of each query.
     AssessmentScratch S;
+    PrunedScanStats PerQuerySum;
     double ListsFrac = 0.0, RowsFrac = 0.0;
     for (size_t Q = 0; Q < NumQueries; ++Q) {
       Store.selectForAssessment(Queries[Q].data(), Cfg, S);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (!S.Pruned.Used || S.Keep != Ref.Keep ||
+      if (S.Pruned.ListsTotal == 0 || S.Keep != Ref.Keep ||
           S.SelectedAll != Ref.SelectedAll || S.SelectedMask != Ref.Mask ||
           S.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(S.WeightByEntry.data(), Ref.Weights.data(),
@@ -484,6 +485,7 @@ void runStoreScaleStudy(size_t N) {
                      N, Fractions[F], Q);
         std::exit(1);
       }
+      PerQuerySum += S.Pruned;
       ListsFrac += static_cast<double>(S.Pruned.ListsScanned) /
                    static_cast<double>(S.Pruned.ListsTotal);
       RowsFrac += static_cast<double>(S.Pruned.RowsScanned) /
@@ -515,7 +517,7 @@ void runStoreScaleStudy(size_t N) {
       Store.selectForAssessment(QueryBlock.data() + Q * Dim, Cfg, BS, &Scan,
                                 Q);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (!BS.Pruned.Used || BS.Keep != Ref.Keep ||
+      if (BS.Pruned.ListsTotal == 0 || BS.Keep != Ref.Keep ||
           BS.SelectedMask != Ref.Mask ||
           BS.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(BS.WeightByEntry.data(), Ref.Weights.data(),
@@ -527,7 +529,20 @@ void runStoreScaleStudy(size_t N) {
         std::exit(1);
       }
     }
+    // Counter gate: the batch-prepared walks make exactly the per-query
+    // walks' pruning decisions, so the batch aggregate must equal the sum
+    // of the per-query counters, integer for integer.
     PrunedScanStats Agg = Scan.aggregated();
+    if (Agg.ListsTotal != PerQuerySum.ListsTotal ||
+        Agg.ListsScanned != PerQuerySum.ListsScanned ||
+        Agg.RowsTotal != PerQuerySum.RowsTotal ||
+        Agg.RowsScanned != PerQuerySum.RowsScanned) {
+      std::fprintf(stderr,
+                   "FATAL: batch-prepared pruning counters diverge from the "
+                   "per-query sum (N=%zu, fraction %.2f)\n",
+                   N, Fractions[F]);
+      std::exit(1);
+    }
     double BatchRowsFrac = static_cast<double>(Agg.RowsScanned) /
                            static_cast<double>(Agg.RowsTotal);
 

@@ -22,6 +22,7 @@
 #define PROM_CORE_CALIBRATION_H
 
 #include "core/PromConfig.h"
+#include "support/ClusterIndex.h"
 #include "support/FeatureMatrix.h"
 
 #include <cstddef>
@@ -57,25 +58,12 @@ struct CalibrationSelection {
 };
 
 /// Counters of one cluster-pruned selection scan (the CalibrationStore
-/// pruned path; see support/ClusterIndex.h for the losslessness contract).
-struct PrunedScanStats {
-  bool Used = false;       ///< The pruned path served the last selection.
-  size_t ListsTotal = 0;   ///< Inverted lists across all shard indexes.
-  size_t ListsScanned = 0; ///< Lists that survived the bound test.
-  size_t RowsTotal = 0;    ///< Entries the selection ranged over (all).
-  size_t RowsScanned = 0;  ///< Entries actually distance-scanned.
-
-  /// Merges another query's counters in (integer sums; Used ORs), so
-  /// batch aggregates fold deterministically in ascending query order.
-  PrunedScanStats &operator+=(const PrunedScanStats &O) {
-    Used = Used || O.Used;
-    ListsTotal += O.ListsTotal;
-    ListsScanned += O.ListsScanned;
-    RowsTotal += O.RowsTotal;
-    RowsScanned += O.RowsScanned;
-    return *this;
-  }
-};
+/// pruned path; see support/ClusterIndex.h for the losslessness contract):
+/// the walk's counters, with the exactly scanned unindexed rows as its
+/// seed. ListsTotal != 0 exactly when the pruned path served the
+/// selection — routing needs an indexed shard, the exact scan has no
+/// lists.
+using PrunedScanStats = support::ClusterScanStats;
 
 /// Reusable per-lane working state of the batched assessment engine: one
 /// instance per ThreadPool lane, recycled across the samples of a batch so
@@ -108,15 +96,18 @@ struct AssessmentScratch {
   std::vector<double> BlockGreaterEq;
   std::vector<double> BlockTotal;
   std::vector<double> BlockCounts;
-  /// Counters of the last cluster-pruned selection (Used == false whenever
-  /// the exact flat scan served it instead).
+  /// Counters of the last cluster-pruned selection (all zero whenever the
+  /// exact flat scan served it instead).
   PrunedScanStats Pruned;
-  /// Working buffers of the pruned scan, recycled like the rest of the
-  /// scratch: the (query-centroid distSq, (shard << 32) | list) ranking
-  /// pairs, the concatenated query-centroid distances of every shard
-  /// index, and the per-list kernel output staging area.
-  std::vector<std::pair<double, uint64_t>> ListOrder;
+  /// Working state of the pruned scan's ClusterIndex::prunedWalk(),
+  /// recycled like the rest of the scratch: one source per indexed shard,
+  /// the concatenated query-centroid distances of every shard index (when
+  /// no prepared batch supplies them), the walk's (centroid distSq,
+  /// (source << 32) | list) ranking pairs, and the kernel output staging
+  /// area of the exact and list scans.
+  std::vector<support::PrunedWalkSource> WalkSources;
   std::vector<double> CentroidDists;
+  std::vector<std::pair<double, uint64_t>> ListOrder;
   std::vector<double> RowScratch;
 };
 

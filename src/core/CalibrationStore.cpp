@@ -460,8 +460,6 @@ void CalibrationStore::selectForAssessmentPruned(
     AssessmentScratch &S, const BatchPrunedScan *Batch,
     size_t QueryIndex) const {
   const support::FeatureMatrix &Embeds = Flat.embedMatrix();
-  S.Pruned.Used = true;
-  S.Pruned.RowsTotal = Flat.size();
   S.Keyed.clear();
 
   // Exact scan of one contiguous row range into the candidate list. Rows
@@ -476,101 +474,52 @@ void CalibrationStore::selectForAssessmentPruned(
                               S.RowScratch.data());
     for (size_t I = Begin; I < End; ++I)
       S.Keyed.push_back({S.RowScratch[I - Begin], static_cast<uint32_t>(I)});
-    S.Pruned.RowsScanned += End - Begin;
   };
 
-  // Phase 1 — mandatory exact rows: every live row no index covers
-  // (unindexed shards and the tails appended since a build). The index
-  // ranges are sorted and disjoint but need not match the shards (eviction
-  // slides them), so one ascending cursor walks the gaps between them.
-  // Scanning these first also seeds the pruning bound before any list is
-  // visited.
-  size_t Cursor = 0;
-  for (const support::ClusterIndex &Idx : ShardIndexes) {
+  if (!Batch) {
+    size_t NumLists = 0;
+    for (const support::ClusterIndex &Idx : ShardIndexes)
+      NumLists += Idx.valid() ? Idx.numLists() : 0;
+    S.CentroidDists.resize(NumLists);
+  }
+  // One ascending pass over the live indexes. Every live row no index
+  // covers (unindexed shards and the tails appended since a build) is
+  // scanned exactly and seeds the walk; the index ranges are sorted and
+  // disjoint but need not match the shards (eviction slides them), so one
+  // cursor walks the gaps between them. Each index joins the walk with
+  // this query's centroid-distance row: read from the prepared batch
+  // block — the bits the per-query kernel call would produce, with the
+  // MxN pass amortized across the batch — or computed here.
+  S.WalkSources.clear();
+  size_t Cursor = 0, Off = 0, Block = 0;
+  for (size_t SI = 0; SI < ShardIndexes.size(); ++SI) {
+    const support::ClusterIndex &Idx = ShardIndexes[SI];
     if (!Idx.valid())
       continue;
     assert(Idx.beginRow() >= Cursor && "index ranges overlap or are unsorted");
     ScanRange(Cursor, Idx.beginRow());
     Cursor = Idx.endRow();
+    if (Batch) {
+      const BatchPrunedScan::ShardBlock &B = Batch->Blocks[Block++];
+      assert(B.Shard == SI && B.NumLists == Idx.numLists() &&
+             "stale batch scan: the store changed after prepare");
+      S.WalkSources.push_back(
+          {&Idx, B.DistSq.data() + QueryIndex * B.NumLists});
+    } else {
+      double *Row = S.CentroidDists.data() + Off;
+      Idx.centroidDistances(TestEmbed, Row);
+      Off += Idx.numLists();
+      S.WalkSources.push_back({&Idx, Row});
+    }
   }
   ScanRange(Cursor, Flat.indexedCount());
+  assert((!Batch || Block == Batch->Blocks.size()) &&
+         "stale batch scan: the store changed after prepare");
 
-  // Phase 2 — rank every live index's lists globally by query-centroid
-  // distance (the scan order only affects how fast the bound tightens,
-  // never the result). With a prepared batch, this query's centroid
-  // distances come straight out of the per-shard blocks — the same bits
-  // the per-query kernel calls would produce, with the MxN pass already
-  // amortized across the whole batch.
-  S.ListOrder.clear();
-  if (Batch) {
-    for (const BatchPrunedScan::ShardBlock &B : Batch->Blocks) {
-      assert(B.Shard < ShardIndexes.size() &&
-             ShardIndexes[B.Shard].valid() &&
-             B.NumLists == ShardIndexes[B.Shard].numLists() &&
-             "stale batch scan: the store changed after prepare");
-      const double *Row = B.DistSq.data() + QueryIndex * B.NumLists;
-      for (size_t L = 0; L < B.NumLists; ++L)
-        S.ListOrder.push_back(
-            {Row[L], (static_cast<uint64_t>(B.Shard) << 32) | L});
-    }
-  } else {
-    S.CentroidDists.clear();
-    for (size_t SI = 0; SI < Shards.size(); ++SI) {
-      const support::ClusterIndex &Idx = ShardIndexes[SI];
-      if (!Idx.valid())
-        continue;
-      size_t Off = S.CentroidDists.size();
-      size_t NumLists = Idx.numLists();
-      S.CentroidDists.resize(Off + NumLists);
-      Idx.centroidDistances(TestEmbed, S.CentroidDists.data() + Off);
-      for (size_t L = 0; L < NumLists; ++L)
-        S.ListOrder.push_back({S.CentroidDists[Off + L],
-                               (static_cast<uint64_t>(SI) << 32) | L});
-    }
-  }
-  S.Pruned.ListsTotal = S.ListOrder.size();
-  std::sort(S.ListOrder.begin(), S.ListOrder.end());
-
-  // Phase 3/4 — walk the ranked lists under a lazily tightened k-th
-  // candidate bound. The bound is over *candidate* keys, hence >= the
-  // global k-th key; with the strict > comparison (and ClusterIndex's
-  // slackened lower bounds) a pruned member can never belong to the
-  // selection — see support/ClusterIndex.h for the full argument.
-  bool HaveBound = false;
-  double BoundKey = 0.0;
-  size_t LastTighten = 0;
-  auto Tighten = [&] {
-    if (S.Keyed.size() < Keep)
-      return;
-    std::nth_element(S.Keyed.begin(),
-                     S.Keyed.begin() + static_cast<long>(Keep - 1),
-                     S.Keyed.end());
-    BoundKey = S.Keyed[Keep - 1].first;
-    HaveBound = true;
-    LastTighten = S.Keyed.size();
-  };
-  Tighten();
-
-  for (const std::pair<double, uint64_t> &Ranked : S.ListOrder) {
-    size_t SI = static_cast<size_t>(Ranked.second >> 32);
-    size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
-    const support::ClusterIndex &Idx = ShardIndexes[SI];
-    size_t LB = Idx.listBegin(L), LE = Idx.listEnd(L);
-    if (LB == LE)
-      continue;
-    if (HaveBound && Idx.listLowerBoundSq(Ranked.first, L) > BoundKey)
-      continue;
-    ++S.Pruned.ListsScanned;
-    S.Pruned.RowsScanned += LE - LB;
-    const support::FeatureMatrix &Rows = Idx.listRows();
-    S.RowScratch.resize(LE - LB);
-    support::kernels::l2Sq1xN(TestEmbed, Rows.rowPtr(LB), LE - LB,
-                              Rows.dim(), Rows.stride(), S.RowScratch.data());
-    for (size_t I = LB; I < LE; ++I)
-      S.Keyed.push_back({S.RowScratch[I - LB], Idx.rowId(I)});
-    if (!HaveBound || S.Keyed.size() >= 2 * LastTighten)
-      Tighten();
-  }
+  support::ClusterIndex::prunedWalk(TestEmbed, S.WalkSources.data(),
+                                    S.WalkSources.size(), Keep, S.Keyed,
+                                    S.ListOrder, S.RowScratch, S.Pruned);
+  assert(S.Pruned.RowsTotal == Flat.size() && "walk missed live rows");
 
   // Every entry is either a candidate or provably outside the selection,
   // so the shared partition + weight steps land on the flat path's bits.

@@ -226,8 +226,8 @@ public:
     /// per-query path's shard walk).
     std::vector<ShardBlock> Blocks;
     /// Per-query counters of the selections served from this batch; slot
-    /// Q is written by the selection of query Q (default — Used == false —
-    /// when the exact path served it).
+    /// Q is written by the selection of query Q (all zero when the exact
+    /// path served it).
     std::vector<PrunedScanStats> PerQuery;
     /// Canonical ascending-query fold of PerQuery — the batch's aggregate
     /// lists/rows-scanned counters, identical at any thread count.
@@ -250,7 +250,8 @@ public:
   /// store is sharded and the pool is not already saturated — or, once the
   /// index policy enabled cluster indexes and a proper-subset selection is
   /// in force, runs the lossless pruned scan instead (Scratch.Pruned
-  /// reports which path served the call and its pruning counters).
+  /// carries its pruning counters; ListsTotal != 0 exactly when the pruned
+  /// scan served the call).
   ///
   /// \p Batch, when non-null and Active, must have been prepared by
   /// prepareBatchPrunedScan() on this store with the same config;
@@ -324,10 +325,11 @@ private:
   bool prunedRouting(const PromConfig &Cfg, size_t &Keep) const;
 
   /// The cluster-pruned selection path: exact scan of every unindexed
-  /// row, bound-pruned scan of the indexed lists, then the shared
-  /// partition + weight steps. Bit-identical to the flat path. \p Batch,
-  /// when non-null, supplies the precomputed centroid-distance rows of
-  /// query \p QueryIndex (see selectForAssessment()).
+  /// row, which seeds the one bound-pruned walk over every shard index
+  /// (support::ClusterIndex::prunedWalk()), then the shared partition +
+  /// weight steps. Bit-identical to the flat path. \p Batch, when
+  /// non-null, supplies the precomputed centroid-distance rows of query
+  /// \p QueryIndex (see selectForAssessment()).
   void selectForAssessmentPruned(const double *TestEmbed,
                                  const PromConfig &Cfg, size_t Keep,
                                  AssessmentScratch &Scratch,

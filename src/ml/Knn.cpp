@@ -38,7 +38,27 @@ void KnnClassifier::buildClusterIndex(size_t NumCentroids) {
   Index.build(Points, 0, Points.rows(), NumCentroids, KnnIndexSeed);
 }
 
-void KnnClassifier::finishVote(double *Out) const {
+/// The K nearest rows of one query's squared-distance scan as (distSq,
+/// row id) pairs in selectNearest()'s order — the very pairs, in the very
+/// order, ClusterIndex::nearestPrunedBatch returns for the same query.
+static std::vector<std::pair<double, uint32_t>>
+nearestPairs(const double *DistSq, size_t N, size_t K) {
+  std::vector<size_t> Near = support::selectNearest(DistSq, N, K);
+  std::vector<std::pair<double, uint32_t>> Pairs;
+  Pairs.reserve(Near.size());
+  for (size_t Idx : Near)
+    Pairs.push_back({DistSq[Idx], static_cast<uint32_t>(Idx)});
+  return Pairs;
+}
+
+void KnnClassifier::voteFromPairs(
+    const std::vector<std::pair<double, uint32_t>> &Near, double *Out) const {
+  std::fill(Out, Out + static_cast<size_t>(Classes), 0.0);
+  // sqrt of the scanned squared distance == support::euclidean on the
+  // same pair: one kernel fold feeds both the selection and the weight.
+  for (const std::pair<double, uint32_t> &P : Near)
+    Out[static_cast<size_t>(Labels[P.second])] +=
+        1.0 / (1.0 + std::sqrt(P.first));
   double Total = 0.0;
   for (int C = 0; C < Classes; ++C)
     Total += Out[C];
@@ -51,41 +71,13 @@ void KnnClassifier::finishVote(double *Out) const {
     Out[C] /= Total;
 }
 
-void KnnClassifier::voteFromScan(const double *DistSq, double *Out) const {
-  std::vector<size_t> Near =
-      support::selectNearest(DistSq, Points.rows(), K);
-  std::fill(Out, Out + static_cast<size_t>(Classes), 0.0);
-  for (size_t Idx : Near) {
-    // sqrt of the scanned squared distance == support::euclidean on the
-    // same pair: one kernel fold feeds both the selection and the weight.
-    double D = std::sqrt(DistSq[Idx]);
-    Out[static_cast<size_t>(Labels[Idx])] += 1.0 / (1.0 + D);
-  }
-  finishVote(Out);
-}
-
-void KnnClassifier::voteFromPairs(
-    const std::vector<std::pair<double, uint32_t>> &Near, double *Out) const {
-  // nearestPruned returns the very (distSq, index) pairs selectNearest
-  // would, in the same ascending order — the vote fold is bit-identical.
-  std::fill(Out, Out + static_cast<size_t>(Classes), 0.0);
-  for (const std::pair<double, uint32_t> &P : Near)
-    Out[static_cast<size_t>(Labels[P.second])] +=
-        1.0 / (1.0 + std::sqrt(P.first));
-  finishVote(Out);
-}
-
 std::vector<double> KnnClassifier::predictProba(const data::Sample &S) const {
   assert(!Points.empty() && "classifier not fitted");
-  std::vector<double> Votes(static_cast<size_t>(Classes), 0.0);
-  if (Index.valid()) {
-    voteFromPairs(Index.nearestPruned(S.Features.data(), K), Votes.data());
-    return Votes;
-  }
   std::vector<double> DistSq(Points.rows());
   support::kernels::l2Sq1xN(S.Features.data(), Points.data(), Points.rows(),
                             Points.dim(), Points.stride(), DistSq.data());
-  voteFromScan(DistSq.data(), Votes.data());
+  std::vector<double> Votes(static_cast<size_t>(Classes), 0.0);
+  voteFromPairs(nearestPairs(DistSq.data(), Points.rows(), K), Votes.data());
   return Votes;
 }
 
@@ -96,18 +88,18 @@ KnnClassifier::predictProbaBatch(const data::Dataset &Batch) const {
   if (Batch.empty())
     return Out;
   if (Index.valid()) {
-    // Batch-native pruned scan: the same pairs the serial indexed path
-    // gets per query, with the centroid ranking amortized over the batch.
+    // Batch-native pruned scan: the exact scan's pairs, with the centroid
+    // ranking amortized over the batch.
     std::vector<std::vector<std::pair<double, uint32_t>>> Near =
         Index.nearestPrunedBatch(Batch.featureBlock(), K);
     for (size_t Q = 0; Q < Near.size(); ++Q)
       voteFromPairs(Near[Q], Out.rowPtr(Q));
     return Out;
   }
-  support::forEachQueryScan(Points, Batch.featureBlock(),
-                            [&](size_t Q, const double *DistSq) {
-                              voteFromScan(DistSq, Out.rowPtr(Q));
-                            });
+  support::forEachQueryScan(
+      Points, Batch.featureBlock(), [&](size_t Q, const double *DistSq) {
+        voteFromPairs(nearestPairs(DistSq, Points.rows(), K), Out.rowPtr(Q));
+      });
   return Out;
 }
 
@@ -132,23 +124,27 @@ void KnnRegressor::buildClusterIndex(size_t NumCentroids) {
   Index.build(Points, 0, Points.rows(), NumCentroids, KnnIndexSeed);
 }
 
+/// Row id of one neighbour, in either form a selection returns it.
+static size_t neighbourId(size_t Id) { return Id; }
+static size_t neighbourId(const std::pair<double, uint32_t> &P) {
+  return P.second;
+}
+
+/// Mean of the neighbours' targets, folded in neighbour order. The exact
+/// and pruned selections return the same ids in the same order, so every
+/// predict path lands on the same bits.
+template <typename Neighbour>
+static double meanTarget(const std::vector<double> &Targets,
+                         const std::vector<Neighbour> &Near) {
+  double Sum = 0.0;
+  for (const Neighbour &N : Near)
+    Sum += Targets[neighbourId(N)];
+  return Sum / static_cast<double>(Near.size());
+}
+
 double KnnRegressor::predict(const data::Sample &S) const {
   assert(!Points.empty() && "regressor not fitted");
-  if (Index.valid()) {
-    // Same neighbour ids in the same ascending (distSq, id) order as
-    // kNearest, so the mean folds identically.
-    std::vector<std::pair<double, uint32_t>> Near =
-        Index.nearestPruned(S.Features.data(), K);
-    double Sum = 0.0;
-    for (const std::pair<double, uint32_t> &P : Near)
-      Sum += Targets[P.second];
-    return Sum / static_cast<double>(Near.size());
-  }
-  std::vector<size_t> Near = support::kNearest(Points, S.Features.data(), K);
-  double Sum = 0.0;
-  for (size_t Idx : Near)
-    Sum += Targets[Idx];
-  return Sum / static_cast<double>(Near.size());
+  return meanTarget(Targets, support::kNearest(Points, S.Features.data(), K));
 }
 
 std::vector<double>
@@ -158,26 +154,16 @@ KnnRegressor::predictBatch(const data::Dataset &Batch) const {
   if (Batch.empty())
     return Out;
   if (Index.valid()) {
-    // Same neighbour ids in the same ascending (distSq, id) order as
-    // kNearestBatch, so the means fold identically.
     std::vector<std::vector<std::pair<double, uint32_t>>> Near =
         Index.nearestPrunedBatch(Batch.featureBlock(), K);
-    for (size_t I = 0; I < Batch.size(); ++I) {
-      double Sum = 0.0;
-      for (const std::pair<double, uint32_t> &P : Near[I])
-        Sum += Targets[P.second];
-      Out[I] = Sum / static_cast<double>(Near[I].size());
-    }
+    for (size_t I = 0; I < Batch.size(); ++I)
+      Out[I] = meanTarget(Targets, Near[I]);
     return Out;
   }
   std::vector<std::vector<size_t>> Near =
       support::kNearestBatch(Points, Batch.featureBlock(), K);
-  for (size_t I = 0; I < Batch.size(); ++I) {
-    double Sum = 0.0;
-    for (size_t Idx : Near[I])
-      Sum += Targets[Idx];
-    Out[I] = Sum / static_cast<double>(Near[I].size());
-  }
+  for (size_t I = 0; I < Batch.size(); ++I)
+    Out[I] = meanTarget(Targets, Near[I]);
   return Out;
 }
 

@@ -19,12 +19,13 @@
 ///
 /// Both models can additionally opt into a support::ClusterIndex over the
 /// training block (buildClusterIndex(), or automatically at fit() time
-/// past the setAutoIndex() point threshold): the serial predict paths then
-/// run the lossless cluster-pruned scan and the batch paths its
-/// batch-native form (ClusterIndex::nearestPrunedBatch), which amortizes
-/// the centroid ranking across the whole query batch. Pruning is
-/// bit-identical to the exact scan by the ClusterIndex contract, so the
-/// serial/batch equivalence above survives unchanged.
+/// past the setAutoIndex() point threshold): the batch paths then run the
+/// lossless batch-native pruned scan (ClusterIndex::nearestPrunedBatch),
+/// which amortizes the centroid ranking across the whole query batch. The
+/// serial predict paths always run the exact scan — the reference the
+/// pruned batch is held to. Pruning is bit-identical to the exact scan by
+/// the ClusterIndex contract, so the serial/batch equivalence above
+/// survives unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +68,8 @@ public:
   std::string name() const override { return "kNN"; }
 
   /// Builds a cluster-pruned index over the fitted training block; the
-  /// predict paths then scan sublinearly with bit-identical output (the
-  /// index is lossless). \p NumCentroids 0 picks ~sqrt(points). fit()
+  /// batch predict path then scans sublinearly with bit-identical output
+  /// (the index is lossless). \p NumCentroids 0 picks ~sqrt(points). fit()
   /// drops any previous index (and rebuilds it when the auto-index
   /// threshold is met; see setAutoIndex()).
   void buildClusterIndex(size_t NumCentroids = 0);
@@ -76,31 +77,24 @@ public:
   /// Auto-build policy: fit() calls buildClusterIndex(\p NumCentroids)
   /// itself whenever the training block has at least \p MinPoints rows
   /// (0 disables). Defaults to KnnAutoIndexMinPoints, so large fits get
-  /// the pruned scan without a manual buildClusterIndex() call —
-  /// losslessness makes this purely a speed knob.
+  /// the pruned batch scan without a manual buildClusterIndex() call —
+  /// losslessness makes this purely a speed knob, and serial predicts
+  /// stay on the exact scan either way.
   void setAutoIndex(size_t MinPoints, size_t NumCentroids = 0) {
     AutoIndexMinPoints = MinPoints;
     AutoIndexCentroids = NumCentroids;
   }
 
-  /// True when a cluster index currently accelerates the predict paths.
+  /// True when a cluster index currently accelerates the batch predicts.
   bool hasClusterIndex() const { return Index.valid(); }
 
 private:
-  /// Neighbour selection + distance-weighted vote over one query's
-  /// squared-distance scan (writes numClasses() values to \p Out). The
-  /// single scoring path of the serial and batched forwards.
-  void voteFromScan(const double *DistSq, double *Out) const;
-
-  /// The indexed twin of voteFromScan(): the same distance-weighted vote
-  /// folded over nearestPruned-style (distSq, id) pairs — which arrive in
-  /// exactly selectNearest()'s order, so the fold is bit-identical.
+  /// Distance-weighted, normalized vote over one query's K nearest
+  /// (distSq, id) pairs in selectNearest()'s order (writes numClasses()
+  /// values to \p Out; uniform when every vote underflowed to zero). The
+  /// single scoring path of the serial, batched and pruned forwards.
   void voteFromPairs(const std::vector<std::pair<double, uint32_t>> &Near,
                      double *Out) const;
-
-  /// The shared vote tail: normalizes \p Out in place (uniform fallback
-  /// when every vote underflowed to zero).
-  void finishVote(double *Out) const;
 
   size_t K;
   int Classes = 0;
@@ -128,8 +122,8 @@ public:
   support::Matrix embedBatch(const data::Dataset &Batch) const override;
   std::string name() const override { return "kNN-Reg"; }
 
-  /// Lossless cluster index over the fitted block for the predict paths;
-  /// see KnnClassifier::buildClusterIndex().
+  /// Lossless cluster index over the fitted block for the batch predict
+  /// path; see KnnClassifier::buildClusterIndex().
   void buildClusterIndex(size_t NumCentroids = 0);
 
   /// Auto-index policy at fit() time; see KnnClassifier::setAutoIndex().
@@ -138,7 +132,7 @@ public:
     AutoIndexCentroids = NumCentroids;
   }
 
-  /// True when a cluster index currently accelerates the predict paths.
+  /// True when a cluster index currently accelerates the batch predicts.
   bool hasClusterIndex() const { return Index.valid(); }
 
 private:

@@ -151,80 +151,101 @@ double ClusterIndex::listLowerBoundSq(double CentroidDistSq,
   return Gap * Gap * (1.0 - PruneSlack);
 }
 
-std::vector<std::pair<double, uint32_t>>
-ClusterIndex::nearestPruned(const double *Query, size_t K,
-                            ClusterScanStats *Stats) const {
-  assert(valid() && "querying an empty index");
-  std::vector<double> CentDistSq(numLists());
-  centroidDistances(Query, CentDistSq.data());
-  return nearestPrunedFromCentroids(Query, CentDistSq.data(), K, Stats);
-}
-
-std::vector<std::pair<double, uint32_t>>
-ClusterIndex::nearestPrunedFromCentroids(const double *Query,
-                                         const double *CentDistSq, size_t K,
-                                         ClusterScanStats *Stats) const {
-  assert(valid() && "querying an empty index");
-  size_t NumLists = numLists();
-  size_t N = coveredRows();
-  K = std::min(K, N);
+void ClusterIndex::prunedWalk(
+    const double *Query, const PrunedWalkSource *Sources, size_t NumSources,
+    size_t K, std::vector<std::pair<double, uint32_t>> &Cand,
+    std::vector<std::pair<double, uint64_t>> &ListOrder,
+    std::vector<double> &RowDistSq, ClusterScanStats &Stats) {
+  Stats = ClusterScanStats();
+  Stats.RowsTotal = Stats.RowsScanned = Cand.size();
+  ListOrder.clear();
+  for (size_t I = 0; I < NumSources; ++I) {
+    const ClusterIndex &Idx = *Sources[I].Index;
+    assert(Idx.valid() && "walking an empty index");
+    Stats.ListsTotal += Idx.numLists();
+    Stats.RowsTotal += Idx.coveredRows();
+    for (size_t L = 0; L < Idx.numLists(); ++L)
+      ListOrder.push_back({Sources[I].CentroidDistSq[L],
+                           (static_cast<uint64_t>(I) << 32) | L});
+  }
   if (K == 0)
-    return {};
+    return;
+  // The scan order only affects how fast the bound tightens, never the
+  // result.
+  std::sort(ListOrder.begin(), ListOrder.end());
 
-  // Rank the lists by (query-centroid distance, list id) — the scan order
-  // only affects how fast the bound tightens, never the result.
-  std::vector<std::pair<double, uint32_t>> Order(NumLists);
-  for (size_t L = 0; L < NumLists; ++L)
-    Order[L] = {CentDistSq[L], static_cast<uint32_t>(L)};
-  std::sort(Order.begin(), Order.end());
-
-  std::vector<std::pair<double, uint32_t>> Cand;
-  Cand.reserve(2 * K + 64);
-  std::vector<double> DistBuf;
-  size_t LastTighten = 0;
+  // The bound is over *candidate* keys, hence >= the global k-th key; it
+  // tightens lazily (whenever the candidates doubled), first over the
+  // seed so exactly scanned rows can prune before any list is visited.
   bool HaveBound = false;
   double BoundKey = 0.0;
+  size_t LastTighten = 0;
   auto Tighten = [&] {
     if (Cand.size() < K)
       return;
-    std::nth_element(Cand.begin(),
-                     Cand.begin() + static_cast<long>(K - 1), Cand.end());
+    std::nth_element(Cand.begin(), Cand.begin() + static_cast<long>(K - 1),
+                     Cand.end());
     BoundKey = Cand[K - 1].first;
     HaveBound = true;
     LastTighten = Cand.size();
   };
+  Tighten();
 
-  ClusterScanStats S;
-  S.ListsTotal = NumLists;
-  S.RowsTotal = N;
-  for (const auto &Ranked : Order) {
-    size_t L = Ranked.second;
-    size_t LB = listBegin(L), LE = listEnd(L);
+  for (const std::pair<double, uint64_t> &Ranked : ListOrder) {
+    const ClusterIndex &Idx = *Sources[Ranked.second >> 32].Index;
+    size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
+    size_t LB = Idx.listBegin(L), LE = Idx.listEnd(L);
     if (LB == LE)
       continue;
     // Strict >: a member at exactly the bound key could still carry a
     // lower id than the current k-th pair, so ties are always scanned.
-    if (HaveBound && listLowerBoundSq(Ranked.first, L) > BoundKey)
+    if (HaveBound && Idx.listLowerBoundSq(Ranked.first, L) > BoundKey)
       continue;
-    ++S.ListsScanned;
-    S.RowsScanned += LE - LB;
-    DistBuf.resize(LE - LB);
-    kernels::l2Sq1xN(Query, Rows.rowPtr(LB), LE - LB, Rows.dim(),
-                     Rows.stride(), DistBuf.data());
+    ++Stats.ListsScanned;
+    Stats.RowsScanned += LE - LB;
+    RowDistSq.resize(LE - LB);
+    kernels::l2Sq1xN(Query, Idx.Rows.rowPtr(LB), LE - LB, Idx.Rows.dim(),
+                     Idx.Rows.stride(), RowDistSq.data());
     for (size_t I = LB; I < LE; ++I)
-      Cand.push_back({DistBuf[I - LB], RowIds[I]});
+      Cand.push_back({RowDistSq[I - LB], Idx.RowIds[I]});
     if (!HaveBound || Cand.size() >= 2 * LastTighten)
       Tighten();
   }
+}
 
-  // The candidates provably contain the K smallest (distSq, id) pairs of
-  // the covered range; partial-sort them into selectNearest()'s order.
+/// The k nearest covered rows of one query whose centroid distances are
+/// \p CentDistSq: the walk over \p Index alone with an empty seed, its
+/// candidates partial-sorted into selectNearest()'s order.
+static std::vector<std::pair<double, uint32_t>>
+nearestOfOne(const ClusterIndex &Index, const double *Query,
+             const double *CentDistSq, size_t K,
+             std::vector<std::pair<double, uint64_t>> &ListOrder,
+             std::vector<double> &RowDistSq, ClusterScanStats *Stats) {
+  K = std::min(K, Index.coveredRows());
+  std::vector<std::pair<double, uint32_t>> Cand;
+  Cand.reserve(2 * K + 64);
+  ClusterScanStats S;
+  PrunedWalkSource Source{&Index, CentDistSq};
+  ClusterIndex::prunedWalk(Query, &Source, 1, K, Cand, ListOrder, RowDistSq,
+                           S);
   std::partial_sort(Cand.begin(), Cand.begin() + static_cast<long>(K),
                     Cand.end());
   Cand.resize(K);
   if (Stats)
     *Stats = S;
   return Cand;
+}
+
+std::vector<std::pair<double, uint32_t>>
+ClusterIndex::nearestPruned(const double *Query, size_t K,
+                            ClusterScanStats *Stats) const {
+  assert(valid() && "querying an empty index");
+  std::vector<double> CentDistSq(numLists());
+  centroidDistances(Query, CentDistSq.data());
+  std::vector<std::pair<double, uint64_t>> ListOrder;
+  std::vector<double> RowDistSq;
+  return nearestOfOne(*this, Query, CentDistSq.data(), K, ListOrder,
+                      RowDistSq, Stats);
 }
 
 std::vector<std::vector<std::pair<double, uint32_t>>>
@@ -252,10 +273,12 @@ ClusterIndex::nearestPrunedBatch(const FeatureMatrix &Queries, size_t K,
     // candidates) and every lane writes only its own queries' Out/Stats
     // slots, so the fan-out cannot change a bit at any thread count.
     ThreadPool::global().parallelFor(Tile, [&](size_t Begin, size_t End) {
+      std::vector<std::pair<double, uint64_t>> ListOrder;
+      std::vector<double> RowDistSq;
       for (size_t Q = Begin; Q < End; ++Q)
-        Out[Q0 + Q] = nearestPrunedFromCentroids(
-            Queries.rowPtr(Q0 + Q), CentBlock.data() + Q * NumLists, K,
-            Stats ? Stats->data() + (Q0 + Q) : nullptr);
+        Out[Q0 + Q] = nearestOfOne(
+            *this, Queries.rowPtr(Q0 + Q), CentBlock.data() + Q * NumLists, K,
+            ListOrder, RowDistSq, Stats ? Stats->data() + (Q0 + Q) : nullptr);
     });
   }
   return Out;

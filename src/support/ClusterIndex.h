@@ -16,10 +16,12 @@
 /// the flat scan uses), alongside the original row ids and the list radius
 /// r_max(c) = max member-to-centroid distance.
 ///
-/// Query protocol (driven by the caller, e.g. CalibrationStore's pruned
-/// selection or nearestPruned() below): rank the lists by query-to-centroid
-/// distance, maintain the current k-th-nearest candidate bound, and skip
-/// every list whose lower bound
+/// Query protocol: one walk, ClusterIndex::prunedWalk(), serves every
+/// caller — nearestPruned(), nearestPrunedBatch() and CalibrationStore's
+/// pruned selection (which walks several shard indexes at once and seeds
+/// the candidates with the rows no index covers). It ranks the lists by
+/// query-to-centroid distance, maintains the current k-th-nearest
+/// candidate bound, and skips every list whose lower bound
 ///
 ///     |q - c| - r_max(c)   <=   |q - x|   for every member x   (triangle)
 ///
@@ -70,12 +72,14 @@ namespace support {
 /// rounding of the exact arithmetic could have let a member survive.
 constexpr double PruneSlack = 4e-9;
 
-/// Counters of one pruned query, for benches and tests.
+/// Counters of one pruned walk (see ClusterIndex::prunedWalk()), for
+/// benches and tests. Rows the caller seeded the walk with count as both
+/// ranged over and scanned.
 struct ClusterScanStats {
-  size_t ListsTotal = 0;   ///< Lists the index holds.
+  size_t ListsTotal = 0;   ///< Lists of every walked index.
   size_t ListsScanned = 0; ///< Lists that survived the bound test.
-  size_t RowsTotal = 0;    ///< Rows the index covers.
-  size_t RowsScanned = 0;  ///< Rows of the surviving lists.
+  size_t RowsTotal = 0;    ///< Seeded rows plus the rows the indexes cover.
+  size_t RowsScanned = 0;  ///< Seeded rows plus the surviving lists' rows.
 
   /// Merges another query's counters in. Pure integer sums, so any merge
   /// order yields the same totals — batch callers still fold in canonical
@@ -87,6 +91,15 @@ struct ClusterScanStats {
     RowsScanned += O.RowsScanned;
     return *this;
   }
+};
+
+class ClusterIndex;
+
+/// One index's share of a ClusterIndex::prunedWalk(): the index and the
+/// query's kernel squared distances to its centroids (numLists() values).
+struct PrunedWalkSource {
+  const ClusterIndex *Index = nullptr;
+  const double *CentroidDistSq = nullptr;
 };
 
 /// Coarse-quantized inverted-list index over a contiguous row range of a
@@ -134,9 +147,6 @@ public:
 
   /// The K x dim centroid block (kernel-scannable).
   const FeatureMatrix &centroids() const { return Centroids; }
-  /// The grouped member-embedding block; rows of list L occupy
-  /// [listBegin(L), listEnd(L)).
-  const FeatureMatrix &listRows() const { return Rows; }
   /// First grouped row of list \p L.
   size_t listBegin(size_t L) const { return ListOffsets[L]; }
   /// One past the last grouped row of list \p L.
@@ -164,11 +174,31 @@ public:
   /// strict comparison) whenever the radius reaches past the query.
   double listLowerBoundSq(double CentroidDistSq, size_t L) const;
 
+  /// The bound-pruned walk behind every pruned query. Ranks the lists of
+  /// the \p NumSources indexes by (centroid distance, (source << 32) |
+  /// list), tightens the \p K-th smallest candidate key — first over the
+  /// (distSq, row id) pairs \p Cand already holds, which the caller
+  /// scanned exactly — and appends the kernel-scanned rows of every list
+  /// whose lower bound does not strictly exceed it. Afterwards \p Cand
+  /// provably holds the K smallest pairs of the seed and the covered rows
+  /// (unordered). The source indexes must cover disjoint rows outside the
+  /// seed. \p ListOrder and \p RowDistSq are caller-owned working
+  /// buffers, so a recycled caller allocates nothing per query. \p Stats
+  /// is overwritten on every call, K == 0 included (nothing is scanned
+  /// then).
+  static void prunedWalk(const double *Query, const PrunedWalkSource *Sources,
+                         size_t NumSources, size_t K,
+                         std::vector<std::pair<double, uint32_t>> &Cand,
+                         std::vector<std::pair<double, uint64_t>> &ListOrder,
+                         std::vector<double> &RowDistSq,
+                         ClusterScanStats &Stats);
+
   /// Exact k-nearest rows of the covered range: the \p K smallest
   /// (kernel squared distance, original row id) pairs in ascending pair
   /// order — bit-identical, pair for pair, to a full l2Sq1xN scan followed
   /// by selectNearest(). Fewer than \p K pairs when the index covers fewer
-  /// rows. \p Stats, when non-null, receives the pruning counters.
+  /// rows. \p Stats, when non-null, receives the pruning counters. The
+  /// prunedWalk() of this one index with an empty seed.
   std::vector<std::pair<double, uint32_t>>
   nearestPruned(const double *Query, size_t K,
                 ClusterScanStats *Stats = nullptr) const;
@@ -188,20 +218,12 @@ public:
                      std::vector<ClusterScanStats> *Stats = nullptr) const;
 
 private:
-  /// nearestPruned() with the query-to-centroid squared distances already
-  /// computed (\p CentDistSq, numLists() values — one row of a
-  /// centroidDistancesBatch() block in nearestPrunedBatch()). The walk, the
-  /// bounds, and the result are exactly nearestPruned()'s; only the
-  /// centroid scan is skipped.
-  std::vector<std::pair<double, uint32_t>>
-  nearestPrunedFromCentroids(const double *Query, const double *CentDistSq,
-                             size_t K, ClusterScanStats *Stats) const;
-
   size_t BeginRow = 0;
   size_t EndRow = 0;
   /// K x dim coarse centroids.
   FeatureMatrix Centroids;
-  /// Member embeddings grouped by list, copied from the source rows.
+  /// Member embeddings grouped by list (list L occupies rows
+  /// [listBegin(L), listEnd(L))), copied from the source rows.
   FeatureMatrix Rows;
   /// Original row id per grouped row.
   std::vector<uint32_t> RowIds;

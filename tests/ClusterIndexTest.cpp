@@ -594,6 +594,37 @@ TEST(ClusterIndexTest, NearestPrunedBatchEmptyAndDegenerateBatches) {
   }
 }
 
+TEST(ClusterIndexTest, KZeroStillWritesCounters) {
+  // A K = 0 query scans nothing, yet must overwrite the caller's counters:
+  // the totals of the index, zero scanned.
+  Rng R(29);
+  FeatureMatrix Rows = randomRows(500, 4, R);
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), 0, 7);
+  ASSERT_TRUE(Index.valid());
+  auto ExpectKZeroCounters = [&](const ClusterScanStats &Stats) {
+    EXPECT_EQ(Stats.ListsTotal, Index.numLists());
+    EXPECT_EQ(Stats.ListsScanned, 0u);
+    EXPECT_EQ(Stats.RowsTotal, Index.coveredRows());
+    EXPECT_EQ(Stats.RowsScanned, 0u);
+  };
+
+  ClusterScanStats Stats;
+  Stats.ListsTotal = Stats.ListsScanned = 12345;
+  Stats.RowsTotal = Stats.RowsScanned = 67890;
+  std::vector<double> Query(Rows.dim(), 0.5);
+  EXPECT_TRUE(Index.nearestPruned(Query.data(), 0, &Stats).empty());
+  ExpectKZeroCounters(Stats);
+
+  FeatureMatrix Queries = randomRows(3, Rows.dim(), R);
+  std::vector<ClusterScanStats> BatchStats;
+  for (const auto &Near : Index.nearestPrunedBatch(Queries, 0, &BatchStats))
+    EXPECT_TRUE(Near.empty());
+  ASSERT_EQ(BatchStats.size(), Queries.rows());
+  for (const ClusterScanStats &S : BatchStats)
+    ExpectKZeroCounters(S);
+}
+
 TEST(ClusterIndexTest, ClusterScanStatsMergeSumsCounters) {
   ClusterScanStats A;
   A.ListsTotal = 10;

@@ -297,10 +297,10 @@ TEST(KnnTest, DuplicateDistanceTieBreakSharedBySerialAndBatch) {
 }
 
 TEST(KnnTest, ClusterIndexedPredictionsAreBitIdentical) {
-  // buildClusterIndex() reroutes the serial predicts through the lossless
+  // buildClusterIndex() reroutes the batch predicts through the lossless
   // cluster-pruned scan; classifier probabilities and regressor outputs
-  // must not move by a single bit, including on tie-heavy data, and the
-  // indexed serial path must keep matching the (exact-scan) batch path.
+  // must not move by a single bit against the plain model's serial
+  // (exact-scan) reference, including on tie-heavy data.
   support::Rng R(99);
   data::Dataset Train = gaussianBlobs(3, 400, 6.0, 1.0, R);
   data::Dataset Test = gaussianBlobs(3, 40, 6.0, 1.5, R);
@@ -311,19 +311,15 @@ TEST(KnnTest, ClusterIndexedPredictionsAreBitIdentical) {
   Indexed.fit(Train, R2);
   Indexed.buildClusterIndex();
 
-  support::Matrix Batched = Indexed.predictProbaBatch(Test);
+  ASSERT_TRUE(Indexed.hasClusterIndex());
+  support::Matrix Pruned = Indexed.predictProbaBatch(Test);
   for (size_t I = 0; I < Test.size(); ++I) {
     std::vector<double> Exact = Plain.predictProba(Test[I]);
-    std::vector<double> Pruned = Indexed.predictProba(Test[I]);
-    ASSERT_EQ(Exact.size(), Pruned.size());
-    for (size_t C = 0; C < Exact.size(); ++C) {
-      EXPECT_EQ(prom::testing::bits(Pruned[C]),
+    ASSERT_EQ(Exact.size(), Pruned.cols());
+    for (size_t C = 0; C < Exact.size(); ++C)
+      EXPECT_EQ(prom::testing::bits(Pruned.at(I, C)),
                 prom::testing::bits(Exact[C]))
           << "query " << I << " class " << C;
-      EXPECT_EQ(prom::testing::bits(Pruned[C]),
-                prom::testing::bits(Batched.at(I, C)))
-          << "query " << I << " class " << C;
-    }
   }
 
   // Regressor, including exact-duplicate targets and tied distances.
@@ -338,21 +334,28 @@ TEST(KnnTest, ClusterIndexedPredictionsAreBitIdentical) {
   RegPlain.fit(RegTrain, R);
   RegIndexed.fit(RegTrain, R);
   RegIndexed.buildClusterIndex(16);
+  ASSERT_TRUE(RegIndexed.hasClusterIndex());
+  data::Dataset Probes("probes", 0);
   for (int I = 0; I < 20; ++I) {
     data::Sample Probe;
     Probe.Features = {static_cast<double>(I % 11) * 0.9,
                       static_cast<double>(I % 4) * 1.1};
-    EXPECT_EQ(prom::testing::bits(RegIndexed.predict(Probe)),
-              prom::testing::bits(RegPlain.predict(Probe)))
-        << "probe " << I;
+    Probes.add(std::move(Probe));
   }
+  std::vector<double> RegBatched = RegIndexed.predictBatch(Probes);
+  ASSERT_EQ(RegBatched.size(), Probes.size());
+  for (size_t I = 0; I < Probes.size(); ++I)
+    EXPECT_EQ(prom::testing::bits(RegBatched[I]),
+              prom::testing::bits(RegPlain.predict(Probes[I])))
+        << "probe " << I;
 
   // Refitting drops the index (stale training block must never leak).
   Indexed.fit(Train, R);
-  std::vector<double> AfterRefit = Indexed.predictProba(Test[0]);
+  EXPECT_FALSE(Indexed.hasClusterIndex());
+  support::Matrix AfterRefit = Indexed.predictProbaBatch(Test);
   std::vector<double> ExactRefit = Plain.predictProba(Test[0]);
-  for (size_t C = 0; C < AfterRefit.size(); ++C)
-    EXPECT_EQ(prom::testing::bits(AfterRefit[C]),
+  for (size_t C = 0; C < ExactRefit.size(); ++C)
+    EXPECT_EQ(prom::testing::bits(AfterRefit.at(0, C)),
               prom::testing::bits(ExactRefit[C]));
 }
 

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -249,7 +250,7 @@ size_t runPrunedProgram(uint64_t Seed) {
     for (double &V : Query)
       V = R.gaussian(0.0, 2.0);
     Live.selectForAssessment(Query.data(), Cfg, S);
-    EXPECT_TRUE(S.Pruned.Used);
+    EXPECT_GT(S.Pruned.ListsTotal, 0u);
     EXPECT_EQ(S.Pruned.RowsTotal, Live.size());
     EXPECT_GT(S.Pruned.RowsScanned, 0u);
     EXPECT_LE(S.Pruned.RowsScanned, S.Pruned.RowsTotal);
@@ -326,7 +327,7 @@ void runBatchPreparedProgram(uint64_t Seed) {
       EXPECT_EQ(prom::testing::bits(WithBatch.WeightByEntry[I]),
                 prom::testing::bits(Standalone.WeightByEntry[I]));
 
-    EXPECT_TRUE(WithBatch.Pruned.Used);
+    EXPECT_GT(WithBatch.Pruned.ListsTotal, 0u);
     EXPECT_EQ(WithBatch.Pruned.ListsTotal, Standalone.Pruned.ListsTotal);
     EXPECT_EQ(WithBatch.Pruned.ListsScanned,
               Standalone.Pruned.ListsScanned);
@@ -345,7 +346,7 @@ void runBatchPreparedProgram(uint64_t Seed) {
   for (const PrunedScanStats &S : Scan.PerQuery)
     Fold += S;
   PrunedScanStats Agg = Scan.aggregated();
-  EXPECT_TRUE(Agg.Used);
+  EXPECT_GT(Agg.ListsTotal, 0u);
   EXPECT_EQ(Agg.ListsTotal, Fold.ListsTotal);
   EXPECT_EQ(Agg.ListsScanned, Fold.ListsScanned);
   EXPECT_EQ(Agg.RowsTotal, Fold.RowsTotal);
@@ -362,10 +363,86 @@ void runBatchPreparedProgram(uint64_t Seed) {
   EXPECT_FALSE(Off.Active);
   AssessmentScratch S;
   Live.selectForAssessment(Queries.rowPtr(0), Cfg, S, &Off, 0);
-  EXPECT_FALSE(S.Pruned.Used);
+  EXPECT_EQ(S.Pruned.ListsTotal, 0u);
+}
+
+/// Entries whose embeddings scatter around \p Center in every dimension.
+std::vector<CalibrationEntry> makeBlobEntries(size_t N, double Center,
+                                              support::Rng &R) {
+  std::vector<CalibrationEntry> Out =
+      makeEntries(N, Dim, NumLabels, NumExperts, R);
+  for (CalibrationEntry &E : Out)
+    for (double &V : E.Embed)
+      V = Center + 0.25 * V;
+  return Out;
 }
 
 } // namespace
+
+TEST(StorePropertyTest, ExactTailAloneBoundsThePrunedWalk) {
+  // An indexed blob far from the origin plus a stale tail of at least Keep
+  // rows near it: queried at the origin, the exactly scanned tail sets
+  // the walk's bound before any list is visited, and every list prunes —
+  // the seeded path a single-index walk never takes.
+  support::Rng R(20260901);
+  std::vector<CalibrationEntry> Blob = makeBlobEntries(600, 1000.0, R);
+  CalibrationStore Live;
+  for (const CalibrationEntry &E : Blob)
+    Live.add(E);
+  ClusterIndexPolicy Policy;
+  Policy.Enabled = true;
+  Policy.MinEntries = 64;
+  Policy.NumCentroids = 8;
+  Policy.MaxStaleFraction = 0.9;
+  Policy.MaxSelectFraction = 1.0;
+  Live.setIndexPolicy(Policy);
+  Live.finalize(1);
+  ASSERT_EQ(Live.indexedShards(), 1u);
+  Live.appendEntries(makeBlobEntries(100, 0.0, R));
+  Live.refinalize();
+  ASSERT_EQ(Live.indexedShards(), 1u);
+  ASSERT_EQ(Live.unindexedEntries(), 100u);
+
+  PromConfig Cfg;
+  Cfg.SelectFraction = 0.1;
+  ASSERT_LE(selectionKeepCount(Live.size(), Cfg), Live.unindexedEntries());
+
+  CalibrationStore Exact = Live;
+  Exact.setIndexPolicy(ClusterIndexPolicy());
+  std::vector<double> Origin(Dim, 0.0);
+  AssessmentScratch SLive, SExact;
+  Live.selectForAssessment(Origin.data(), Cfg, SLive);
+  Exact.selectForAssessment(Origin.data(), Cfg, SExact);
+
+  EXPECT_GT(SLive.Pruned.ListsTotal, 0u);
+  EXPECT_EQ(SLive.Pruned.ListsScanned, 0u);
+  EXPECT_EQ(SLive.Pruned.RowsScanned, Live.unindexedEntries());
+  EXPECT_EQ(SLive.Pruned.RowsTotal, Live.size());
+  EXPECT_EQ(SExact.Pruned.ListsTotal, 0u);
+
+  // The selected keys (in (key, id) order), mask and weights are the
+  // exact scan's bits.
+  ASSERT_EQ(SLive.Keep, SExact.Keep);
+  auto SelectedKeys = [](const AssessmentScratch &S) {
+    std::vector<std::pair<double, uint32_t>> Keys(
+        S.Keyed.begin(), S.Keyed.begin() + static_cast<long>(S.Keep));
+    std::sort(Keys.begin(), Keys.end());
+    return Keys;
+  };
+  std::vector<std::pair<double, uint32_t>> LiveKeys = SelectedKeys(SLive);
+  std::vector<std::pair<double, uint32_t>> ExactKeys = SelectedKeys(SExact);
+  for (size_t I = 0; I < LiveKeys.size(); ++I) {
+    EXPECT_EQ(prom::testing::bits(LiveKeys[I].first),
+              prom::testing::bits(ExactKeys[I].first));
+    EXPECT_EQ(LiveKeys[I].second, ExactKeys[I].second);
+  }
+  EXPECT_EQ(SLive.SelectedMask, SExact.SelectedMask);
+  ASSERT_EQ(SLive.WeightByEntry.size(), SExact.WeightByEntry.size());
+  for (size_t I = 0; I < SLive.WeightByEntry.size(); ++I)
+    EXPECT_EQ(prom::testing::bits(SLive.WeightByEntry[I]),
+              prom::testing::bits(SExact.WeightByEntry[I]))
+        << "entry " << I;
+}
 
 TEST(StorePropertyTest, RandomLifecyclesMatchFromScratchRebuild) {
   for (uint64_t Seed : {20260701ull, 20260702ull, 20260703ull, 20260704ull,

@@ -23,6 +23,8 @@
 #include "support/Matrix.h"
 #include "support/Serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,9 +55,20 @@ PromConfig configFor(double Epsilon) {
   return Cfg;
 }
 
-/// Packs \p N host rows in \p Layout's shape, assesses them through
-/// \p Engine's batch engine and fills the C out-arrays (the optional
-/// credibility / confidence ones when non-null).
+/// True when the host row (\p C probabilities, \p D features) holds no
+/// NaN or infinity.
+bool finiteRow(const double *Probabilities, const double *Features, int C,
+               int D) {
+  auto Finite = [](double V) { return std::isfinite(V); };
+  return std::all_of(Probabilities, Probabilities + C, Finite) &&
+         std::all_of(Features, Features + D, Finite);
+}
+
+/// Packs \p N host rows in \p Layout's shape, assesses the finite ones
+/// through \p Engine's batch engine and fills the C out-arrays (the
+/// optional credibility / confidence ones when non-null). A row holding a
+/// NaN or infinity never reaches the engine: it fails closed as a reject
+/// with credibility and confidence 0.
 void assessRows(const PromClassifier &Engine,
                 const ml::HostOutputClassifier &Layout, size_t N,
                 const double *Probabilities, const double *Features,
@@ -63,17 +76,29 @@ void assessRows(const PromClassifier &Engine,
   int C = Layout.numClasses(), D = Layout.featureDim();
   data::Dataset Batch;
   Batch.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    Batch.add(ml::HostOutputClassifier::pack(
-        Probabilities + I * static_cast<size_t>(C),
-        Features + I * static_cast<size_t>(D), C, D));
-  std::vector<Verdict> Verdicts = Engine.assessBatch(Batch);
-  for (size_t I = 0; I < Verdicts.size(); ++I) {
-    RejectOut[I] = Verdicts[I].Drifted ? 1 : 0;
+  std::vector<size_t> Rows; // Host row of each batch sample.
+  for (size_t I = 0; I < N; ++I) {
+    const double *P = Probabilities + I * static_cast<size_t>(C);
+    const double *F = Features + I * static_cast<size_t>(D);
+    if (finiteRow(P, F, C, D)) {
+      Rows.push_back(I);
+      Batch.add(ml::HostOutputClassifier::pack(P, F, C, D));
+      continue;
+    }
+    RejectOut[I] = 1;
     if (CredOut)
-      CredOut[I] = Verdicts[I].meanCredibility();
+      CredOut[I] = 0.0;
     if (ConfOut)
-      ConfOut[I] = Verdicts[I].meanConfidence();
+      ConfOut[I] = 0.0;
+  }
+  std::vector<Verdict> Verdicts = Engine.assessBatch(Batch);
+  for (size_t B = 0; B < Verdicts.size(); ++B) {
+    size_t I = Rows[B];
+    RejectOut[I] = Verdicts[B].Drifted ? 1 : 0;
+    if (CredOut)
+      CredOut[I] = Verdicts[B].meanCredibility();
+    if (ConfOut)
+      ConfOut[I] = Verdicts[B].meanConfidence();
   }
 }
 
@@ -147,7 +172,8 @@ int prom_add_calibration(prom_detector *d, const double *probabilities,
                          const double *features, int label) {
   if (!d || !probabilities || !features || d->Finalized)
     return -1;
-  if (label < 0 || label >= d->numClasses())
+  if (label < 0 || label >= d->numClasses() ||
+      !finiteRow(probabilities, features, d->numClasses(), d->featureDim()))
     return -1;
   d->Calib.add(ml::HostOutputClassifier::pack(
       probabilities, features, d->numClasses(), d->featureDim(), label));

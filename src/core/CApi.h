@@ -80,7 +80,8 @@ prom_detector *prom_open(int num_classes, int feature_dim, double epsilon,
  * Registers one calibration sample: the model's probability vector
  * (length num_classes), its feature/embedding vector (length
  * feature_dim) and the true label. Returns 0 on success, -1 on error
- * (NULL arguments, out-of-range label, or already finalized).
+ * (NULL arguments, out-of-range label, a NaN or infinite value, or
+ * already finalized); a refused row is not registered.
  */
 int prom_add_calibration(prom_detector *d, const double *probabilities,
                          const double *features, int label);
@@ -99,7 +100,9 @@ int prom_finalize(prom_detector *d);
  * Assesses one deployment input. Returns 1 when the prediction should be
  * REJECTED (drift suspected), 0 when it can be accepted, -1 on error.
  * When non-NULL, \p credibility_out and \p confidence_out receive the
- * committee-mean scores.
+ * committee-mean scores. An input holding a NaN or infinity fails
+ * closed: it never reaches the detector and returns 1 with credibility
+ * and confidence 0.
  */
 int prom_should_reject(const prom_detector *d, const double *probabilities,
                        const double *features, double *credibility_out,
@@ -111,7 +114,7 @@ int prom_should_reject(const prom_detector *d, const double *probabilities,
  * Element i of \p reject_out (required) receives the verdict flag;
  * \p credibility_out / \p confidence_out (each optional) receive the
  * committee-mean scores. Element i is bit-identical to the corresponding
- * single-input call. Returns 0 on success, -1 on error (nothing written).
+ * single-input call (non-finite rows included). Returns 0 on success, -1 on error (nothing written).
  */
 int prom_assess_batch(const prom_detector *d, size_t n,
                       const double *probabilities, const double *features,

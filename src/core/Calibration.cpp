@@ -34,9 +34,6 @@ size_t CalibrationScores::memoryBytes() const {
   Bytes += Labels.capacity() * sizeof(int);
   for (const std::vector<double> &Col : ScoreColumns)
     Bytes += Col.capacity() * sizeof(double);
-  for (const auto &PerLabel : SortedScores)
-    for (const std::vector<double> &Scores : PerLabel)
-      Bytes += Scores.capacity() * sizeof(double);
   return Bytes;
 }
 
@@ -101,13 +98,6 @@ bool CalibrationScores::refinalize(size_t Evict) {
 }
 
 void CalibrationScores::evictFromIndexes(size_t Evict) {
-  size_t NumExp = numExperts();
-
-  // Subtract the evicted scores from the sorted indexes before the
-  // positional arrays shift.
-  for (size_t E = 0; E < NumExp; ++E)
-    removeScoresFromIndex(E, 0, Evict, SortedScores[E]);
-
   Entries.erase(Entries.begin(), Entries.begin() + static_cast<long>(Evict));
   Labels.erase(Labels.begin(), Labels.begin() + static_cast<long>(Evict));
   for (std::vector<double> &Column : ScoreColumns)
@@ -115,20 +105,16 @@ void CalibrationScores::evictFromIndexes(size_t Evict) {
   Embeds.eraseFrontRows(Evict);
 
   // Eviction can retire the largest label entirely; a fresh finalize would
-  // size its buckets to the surviving maximum, so mirror that here.
+  // report the surviving maximum, so mirror that here.
   MaxLabel = -1;
   for (int Label : Labels)
     MaxLabel = std::max(MaxLabel, Label);
-  for (size_t E = 0; E < NumExp; ++E)
-    SortedScores[E].resize(static_cast<size_t>(MaxLabel + 1));
 
   IndexedCount -= Evict;
 }
 
 void CalibrationScores::appendToIndexes(size_t From) {
   size_t N = Entries.size();
-  if (From == N)
-    return;
   size_t NumExp = numExperts();
   size_t Dim = Embeds.dim();
 
@@ -141,12 +127,6 @@ void CalibrationScores::appendToIndexes(size_t From) {
     MaxLabel = std::max(MaxLabel, Entries[I].Label);
     for (size_t E = 0; E < NumExp; ++E)
       ScoreColumns[E].push_back(Entries[I].Scores[E]);
-  }
-
-  size_t LabelBuckets = static_cast<size_t>(MaxLabel + 1);
-  for (size_t E = 0; E < NumExp; ++E) {
-    SortedScores[E].resize(LabelBuckets);
-    mergeScoresIntoIndex(E, From, N, SortedScores[E]);
   }
 }
 
@@ -362,18 +342,6 @@ void CalibrationScores::computeDistanceKeys(const double *TestEmbed,
     S.Keyed[I] = {S.Dists[I], static_cast<uint32_t>(I)};
 }
 
-void CalibrationScores::selectForAssessment(const double *TestEmbed,
-                                            const PromConfig &Cfg,
-                                            AssessmentScratch &S) const {
-  assert(!Entries.empty() && "empty calibration set");
-  assert(IndexedCount == Entries.size() &&
-         "assessing a store with staged (unfinalized) entries");
-  S.Keyed.resize(Entries.size());
-  S.Dists.resize(Entries.size());
-  computeDistanceKeys(TestEmbed, S, 0, Entries.size());
-  finishSelection(Cfg, S);
-}
-
 void CalibrationScores::finishSelection(const PromConfig &Cfg,
                                         AssessmentScratch &S) const {
   size_t N = Entries.size();
@@ -462,31 +430,13 @@ CalibrationScores::pValues(const CalibrationSelection &Sel, size_t Expert,
   CalibrationWeightMode Mode = resolveMode(Cfg, DiscreteScores);
   const std::vector<double> &Scores = ScoreColumns[Expert];
 
-  if (Mode == CalibrationWeightMode::None &&
-      Sel.Indices.size() == Entries.size()) {
-    // Unweighted full selection: per-label counts via the sorted index.
-    for (size_t L = 0; L < NumLabels; ++L) {
-      if (static_cast<int>(L) > MaxLabel)
-        continue; // No entries carry this label: Counts stays 0.
-      const std::vector<double> &LabelScores = SortedScores[Expert][L];
-      Counts[L] = static_cast<double>(LabelScores.size());
-      Total[L] = Counts[L];
-      if (!LabelScores.empty())
-        GreaterEq[L] = static_cast<double>(
-            LabelScores.end() - std::lower_bound(LabelScores.begin(),
-                                                 LabelScores.end(),
-                                                 TestScores[L]));
-    }
-    finishPValues(GreaterEq.data(), Total.data(), Counts.data(), NumLabels,
-                  Cfg, P.data());
-    return P;
-  }
-
-  // General path. Accumulation runs in ascending entry-index order inside
-  // each canonical block, and block partials fold in ascending block order
-  // — the exact scheme shared with pValuesAllExperts() and the sharded
-  // CalibrationStore — so the floating-point sums do not depend on how the
-  // selection was ordered or how the work was partitioned.
+  // One counting path for every weight mode. Accumulation runs in
+  // ascending entry-index order inside each canonical block, and block
+  // partials fold in ascending block order — the scheme the sharded
+  // CalibrationStore's general path shares — so the floating-point sums do
+  // not depend on how the selection was ordered or how the work was
+  // partitioned. Unit-weight counts are exact integers in doubles, so they
+  // equal the store's binary-search counts bit for bit.
   std::vector<uint8_t> Mask(Entries.size(), 0);
   std::vector<double> WeightByEntry(Entries.size(), 0.0);
   for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
@@ -624,72 +574,6 @@ void CalibrationScores::accumulateGeneralBlock(const AssessmentScratch &S,
   }
 }
 
-void CalibrationScores::pValuesAllExperts(AssessmentScratch &S,
-                                          const double *TestScores,
-                                          size_t NumLabels,
-                                          const PromConfig &Cfg,
-                                          const uint8_t *DiscreteFlags,
-                                          double *PValsOut) const {
-  size_t NumExp = numExperts();
-  size_t Cells = NumExp * NumLabels;
-  S.GreaterEq.assign(Cells, 0.0);
-  S.Total.assign(Cells, 0.0);
-  S.Counts.assign(NumLabels, 0.0);
-
-  if (Cfg.WeightMode == CalibrationWeightMode::None && S.SelectedAll) {
-    // Unweighted full selection (the configuration of the naive-CP
-    // baselines): every (expert, label) count is two binary searches over
-    // the sorted-score index, O(E * L * log N) instead of O(E * N).
-    for (size_t L = 0; L < NumLabels; ++L) {
-      size_t Have = 0;
-      if (static_cast<int>(L) <= MaxLabel)
-        Have = SortedScores.front()[L].size();
-      S.Counts[L] = static_cast<double>(Have);
-      for (size_t E = 0; E < NumExp; ++E) {
-        S.Total[E * NumLabels + L] = S.Counts[L];
-        if (Have == 0)
-          continue;
-        const std::vector<double> &LabelScores = SortedScores[E][L];
-        S.GreaterEq[E * NumLabels + L] = static_cast<double>(
-            LabelScores.end() - std::lower_bound(LabelScores.begin(),
-                                                 LabelScores.end(),
-                                                 TestScores[E * NumLabels +
-                                                            L]));
-      }
-    }
-  } else {
-    // Fused general path: one pass over the calibration entries scoring
-    // every expert, instead of numExperts() separate scans. The pass runs
-    // block by block (the canonical accumulation scheme, see
-    // CalibrationAccumBlock) so the result is bit-identical to the sharded
-    // store folding the same blocks from worker threads.
-    resolveExpertModes(Cfg, DiscreteFlags, S);
-    S.BlockGreaterEq.assign(Cells, 0.0);
-    S.BlockTotal.assign(Cells, 0.0);
-    S.BlockCounts.assign(NumLabels, 0.0);
-    for (size_t B0 = 0; B0 < Entries.size(); B0 += CalibrationAccumBlock) {
-      size_t B1 = std::min(Entries.size(), B0 + CalibrationAccumBlock);
-      std::fill(S.BlockGreaterEq.begin(), S.BlockGreaterEq.end(), 0.0);
-      std::fill(S.BlockTotal.begin(), S.BlockTotal.end(), 0.0);
-      std::fill(S.BlockCounts.begin(), S.BlockCounts.end(), 0.0);
-      accumulateGeneralBlock(S, TestScores, NumLabels, B0, B1,
-                             S.BlockGreaterEq.data(), S.BlockTotal.data(),
-                             S.BlockCounts.data());
-      for (size_t Cell = 0; Cell < Cells; ++Cell) {
-        S.GreaterEq[Cell] += S.BlockGreaterEq[Cell];
-        S.Total[Cell] += S.BlockTotal[Cell];
-      }
-      for (size_t L = 0; L < NumLabels; ++L)
-        S.Counts[L] += S.BlockCounts[L];
-    }
-  }
-
-  for (size_t E = 0; E < NumExp; ++E)
-    finishPValues(S.GreaterEq.data() + E * NumLabels,
-                  S.Total.data() + E * NumLabels, S.Counts.data(), NumLabels,
-                  Cfg, PValsOut + E * NumLabels);
-}
-
 void CalibrationScores::finishPValues(const double *GreaterEq,
                                       const double *Total,
                                       const double *Counts, size_t NumLabels,
@@ -733,18 +617,6 @@ void CalibrationScores::buildBatchIndexes() {
     assert(Entries[I].Scores.size() == NumExp && "ragged expert scores");
     for (size_t E = 0; E < NumExp; ++E)
       ScoreColumns[E][I] = Entries[I].Scores[E];
-  }
-
-  size_t NumLabelBuckets = static_cast<size_t>(MaxLabel + 1);
-  SortedScores.assign(NumExp,
-                      std::vector<std::vector<double>>(NumLabelBuckets));
-  for (size_t E = 0; E < NumExp; ++E) {
-    for (size_t I = 0; I < N; ++I)
-      if (Labels[I] >= 0)
-        SortedScores[E][static_cast<size_t>(Labels[I])].push_back(
-            ScoreColumns[E][I]);
-    for (std::vector<double> &LabelScores : SortedScores[E])
-      std::sort(LabelScores.begin(), LabelScores.end());
   }
 }
 

@@ -129,7 +129,6 @@ public:
     Labels.clear();
     ScoreColumns.clear();
     MaxLabel = -1;
-    SortedScores.clear();
     IndexedCount = 0;
   }
   void reserve(size_t N) { Entries.reserve(N); }
@@ -137,25 +136,23 @@ public:
 
   /// Computes the distance scale of the calibration set (median nearest-
   /// neighbour distance over a bounded sample of entries) and builds the
-  /// batch-engine indexes: a contiguous (N x dim) embedding block for
-  /// cache-friendly distance scans, per-expert contiguous score columns,
-  /// and a per-(expert, label) sorted-score index that turns unweighted
-  /// full-selection p-values into binary searches. Called once after all
-  /// entries are added; required for PromConfig::AutoTau.
+  /// batch-engine indexes: a contiguous (N x dim) embedding block, labels
+  /// and per-expert score columns (the store shards build their sorted-
+  /// score indexes from these). Called once after all entries are added;
+  /// required for PromConfig::AutoTau.
   void finalize();
 
   /// Entries covered by the finalize()/refinalize()-built indexes.
   /// Entries add()ed beyond this count are *staged*: invisible to the
-  /// engine entry points until the next refinalize().
+  /// store's engine entry points until the next refinalize().
   size_t indexedCount() const { return IndexedCount; }
 
   /// Incremental finalize for the online-refresh path: evicts the
   /// \p Evict oldest entries, then folds every staged appended entry into
   /// the existing indexes — appended embedding rows / labels / score
-  /// columns, sort + in-place merge of the new scores into the sorted
-  /// per-(expert, label) indexes, and a median-NN-distance recompute only
-  /// when the bounded sample window finalize() measures actually changed
-  /// (eviction shifted it, or fewer than its 256 entries were indexed).
+  /// columns, and a median-NN-distance recompute only when the bounded
+  /// sample window finalize() measures actually changed (eviction shifted
+  /// it, or fewer than its 256 entries were indexed).
   ///
   /// Post-state contract: bit-identical to clearing and re-running
   /// finalize() on the surviving entries in order — every index value,
@@ -175,9 +172,8 @@ public:
   /// label, already sized to cover every label in the range): sort the
   /// new scores per label, then merge each run in place. The resulting
   /// ascending multiset is exactly what a full re-sort of the union
-  /// produces — this is the single insert step both the flat refresh
-  /// path and the sharded store's block-aligned shard extension use, so
-  /// the two cannot drift apart.
+  /// produces — the one insert step of the CalibrationStore shards'
+  /// sorted indexes (block-aligned extension and eviction slide alike).
   void mergeScoresIntoIndex(size_t Expert, size_t Begin, size_t End,
                             std::vector<std::vector<double>> &SortedScores)
       const;
@@ -186,8 +182,8 @@ public:
   /// entries [\p Begin, \p End) of expert \p Expert from \p SortedScores
   /// as sorted multisets — one linear in-place pass per label bucket, so
   /// the bucket keeps its capacity and stays ascending. Every removed
-  /// score must be present. The flat eviction and the sharded store's
-  /// shard slide both remove through this one step.
+  /// score must be present. The CalibrationStore's eviction slide removes
+  /// every shard's departing scores through this one step.
   void removeScoresFromIndex(size_t Expert, size_t Begin, size_t End,
                              std::vector<std::vector<double>> &SortedScores)
       const;
@@ -204,11 +200,10 @@ public:
     return Entries.empty() ? 0 : Entries.front().Scores.size();
   }
 
-  /// Estimated heap footprint: the per-entry vectors plus every
-  /// batch-engine index (embedding block, score columns, sorted-score
-  /// indexes). O(entries) walk; the fleet registry meters tenants with it
-  /// when deciding LRU eviction, so it only needs to be proportional, not
-  /// allocator-exact.
+  /// Estimated heap footprint: the per-entry vectors plus the embedding
+  /// block, labels and score columns. O(entries) walk; the fleet registry
+  /// meters tenants with it when deciding LRU eviction, so it only needs
+  /// to be proportional, not allocator-exact.
   size_t memoryBytes() const;
 
   /// Adaptive subset selection for \p TestEmbed (Sec. 5.1.2): sorts entries
@@ -218,7 +213,9 @@ public:
   CalibrationSelection select(const std::vector<double> &TestEmbed,
                               const PromConfig &Cfg) const;
 
-  /// Class-conditional p-values (Eq. 2) for every label in [0, NumLabels).
+  /// Class-conditional p-values (Eq. 2) for every label in [0, NumLabels):
+  /// the serial oracle. It counts with the canonical block fold only, so
+  /// it checks the store engine's binary-search counts.
   ///
   /// For label c: p_c = #{ i in Sel : y_i = c and w_i * a_i^(s) >=
   /// TestScores[c] } / #{ i in Sel : y_i = c }, with +1 smoothing on both
@@ -238,17 +235,17 @@ public:
                               bool DiscreteScores = false) const;
 
   //===--------------------------------------------------------------------===//
-  // Batched assessment engine
+  // Batched assessment engine steps
   //
-  // The engine-facing entry points below compute the same selection and
-  // Eq. (2) p-values as select()/pValues() — bit-identically — but without
-  // the closest-first ordering contract, which lets them replace the full
-  // distance sort with an O(N) partition, defer square roots to the
-  // selected subset, and score every expert in a single pass over the
-  // calibration entries. Both pValues() and pValuesAllExperts() accumulate
-  // block by block in ascending entry-index order (the canonical scheme,
-  // see CalibrationAccumBlock), so the result is independent of how the
-  // selection was produced and of how a sharded store partitions the work.
+  // CalibrationStore's engine is built from the steps below: the same
+  // selection and Eq. (2) p-values as select()/pValues(), bit-identically,
+  // but without the closest-first ordering contract, which lets it replace
+  // the full distance sort with an O(N) partition, defer square roots to
+  // the selected subset, and score every expert in a single pass over the
+  // calibration entries. Weighted sums accumulate block by block in
+  // ascending entry-index order (see CalibrationAccumBlock), so the result
+  // is independent of how the selection was produced and of how the store
+  // partitions the work.
   //===--------------------------------------------------------------------===//
 
   /// Embedding dimensionality of the calibration entries.
@@ -275,12 +272,6 @@ public:
     return ScoreColumns[Expert];
   }
 
-  /// Selection for one test embedding (length embedDim()): fills
-  /// \p Scratch with the selected-entry mask and Eq. (1) weights. The
-  /// selected set and every weight value are identical to select()'s.
-  void selectForAssessment(const double *TestEmbed, const PromConfig &Cfg,
-                           AssessmentScratch &Scratch) const;
-
   /// Squared-distance keys of entries [Begin, End) against \p TestEmbed,
   /// written into Scratch.Keyed (which must already have size() slots).
   /// Per-entry independent, so disjoint ranges can be filled concurrently;
@@ -289,8 +280,8 @@ public:
                            AssessmentScratch &Scratch, size_t Begin,
                            size_t End) const;
 
-  /// The partition + mask + Eq. (1) weight steps of selectForAssessment(),
-  /// run after Scratch.Keyed has been filled by computeDistanceKeys().
+  /// The exact selection's partition + mask + Eq. (1) weight steps, run on
+  /// the computeDistanceKeys() keys; set and weights match select()'s.
   void finishSelection(const PromConfig &Cfg,
                        AssessmentScratch &Scratch) const;
 
@@ -324,23 +315,6 @@ public:
                      const double *Counts, size_t NumLabels,
                      const PromConfig &Cfg, double *POut) const;
 
-  /// Class-conditional p-values of every expert in one fused pass.
-  ///
-  /// \param Scratch selection state from selectForAssessment().
-  /// \param TestScores numExperts() x NumLabels row-major score block.
-  /// \param DiscreteFlags per-expert ClassificationScorer::isDiscrete()
-  ///        (may be null when no expert is discrete).
-  /// \param PValsOut numExperts() x NumLabels row-major output block.
-  ///
-  /// With unweighted counting (WeightMode::None) and a full selection, the
-  /// per-label counts come from binary searches over the sorted-score
-  /// index instead of the linear scan; counting with unit weights is exact
-  /// integer arithmetic in doubles, so the fast path is bit-identical.
-  void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
-                         size_t NumLabels, const PromConfig &Cfg,
-                         const uint8_t *DiscreteFlags,
-                         double *PValsOut) const;
-
 private:
   /// Shared tail of finishSelection()/finishSelectionPruned(): the
   /// selected-entry mask and Eq. (1) weights from the first Scratch.Keep
@@ -349,7 +323,7 @@ private:
   void applySelectionWeights(const PromConfig &Cfg,
                              AssessmentScratch &Scratch) const;
 
-  /// Rebuilds the contiguous/sorted batch-engine indexes from Entries.
+  /// Rebuilds the contiguous batch-engine indexes from Entries.
   void buildBatchIndexes();
 
   /// The finalize() distance-scale measurement (median nearest-neighbour
@@ -358,11 +332,10 @@ private:
   void computeMedianNNDist();
 
   /// Removes the first \p Evict entries from every index in place:
-  /// prefix erase of the positional arrays, multiset subtraction from the
-  /// sorted per-(expert, label) scores, MaxLabel recompute.
+  /// prefix erase of the positional arrays, MaxLabel recompute.
   void evictFromIndexes(size_t Evict);
 
-  /// Folds entries [\p From, size()) into the indexes (append + merge).
+  /// Appends entries [\p From, size()) to the indexes.
   void appendToIndexes(size_t From);
 
   std::vector<CalibrationEntry> Entries;
@@ -376,8 +349,6 @@ private:
   /// ScoreColumns[E][I] = Entries[I].Scores[E] (contiguous per expert).
   std::vector<std::vector<double>> ScoreColumns;
   int MaxLabel = -1;
-  /// SortedScores[E][L] = ascending scores of the label-L entries.
-  std::vector<std::vector<std::vector<double>>> SortedScores;
 };
 
 /// Gaussian confidence of a prediction-set size (Sec. 5.3):

@@ -186,8 +186,7 @@ void CalibrationStore::extendLastShard(size_t OldEnd) {
   assert(Last.End == OldEnd && "extending past staged entries");
   // Per-expert sorted inserts are independent; the fan-out runs inline
   // when nested under another pool region (a service worker triggering a
-  // synchronous refresh) — the nested-parallelFor contract. The insert
-  // itself is the same sort + in-place merge the flat index uses.
+  // synchronous refresh) — the nested-parallelFor contract.
   support::ThreadPool::global().parallelFor(
       NumExp, [&](size_t Begin, size_t End) {
         for (size_t E = Begin; E < End; ++E)
@@ -545,7 +544,7 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   if (Cfg.WeightMode == CalibrationWeightMode::None && S.SelectedAll) {
     // Unweighted full selection: per-shard binary-search counts. Counting
     // with unit weights is exact integer arithmetic in doubles, so the
-    // per-shard counts sum to the flat path's global counts bit-exactly.
+    // per-shard counts sum to the oracle's block-fold counts bit-exactly.
     S.BlockGreaterEq.assign(K * Cells, 0.0);
     S.BlockCounts.assign(K * NumLabels, 0.0);
     auto CountShard = [&](size_t SI) {

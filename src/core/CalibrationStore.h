@@ -10,9 +10,10 @@
 /// A CalibrationStore owns the calibration entries (as a flat
 /// CalibrationScores, which remains the serial oracle) and partitions them
 /// into K contiguous, accumulation-block-aligned shards, each carrying its
-/// own per-(expert, label) sorted-score index. The engine-facing entry
-/// points mirror CalibrationScores exactly and fan the work out
-/// shard-parallel over support::ThreadPool:
+/// own per-(expert, label) sorted-score index — the only sorted-score
+/// index in the system. The engine entry points compute exactly what the
+/// oracle's select()/pValues() compute and fan the work out shard-parallel
+/// over support::ThreadPool:
 ///
 ///  * the squared-distance scan of selectForAssessment() fills disjoint
 ///    slices of the key array per shard (per-entry independent, so the
@@ -23,8 +24,8 @@
 ///    accumulation blocks (see CalibrationAccumBlock) into per-block
 ///    partials that are merged in ascending block order on one thread.
 ///
-/// All three merges reproduce the flat path's floating-point arithmetic
-/// bit for bit, so verdicts are identical for every shard count and every
+/// All three merges reproduce the oracle's floating-point arithmetic bit
+/// for bit, so verdicts are identical for every shard count and every
 /// thread count — test-enforced like the batch/serial equivalence.
 ///
 /// The store also supports *online refresh*: appendEntries() stages
@@ -123,9 +124,9 @@ public:
 
   /// Folds the staged entries into the live indexes incrementally:
   /// oldest-first eviction down to maxEntries(), appended embedding rows /
-  /// score columns, sort + merge inserts into the flat and per-shard
-  /// sorted-score indexes, none of the model forwards a detector-level
-  /// recalibration would redo.
+  /// score columns, sort + merge inserts into the per-shard sorted-score
+  /// indexes, none of the model forwards a detector-level recalibration
+  /// would redo.
   ///
   ///  * Append-only: the last shard absorbs the new accumulation blocks
   ///    (the partition rebalances when it drifts past 2x the even share);
@@ -245,13 +246,13 @@ public:
                               size_t QueryStride, const PromConfig &Cfg,
                               BatchPrunedScan &Scan) const;
 
-  /// Engine API; bit-identical to flat().selectForAssessment() for every
-  /// shard count. The distance scan fans out over the shards when the
-  /// store is sharded and the pool is not already saturated — or, once the
-  /// index policy enabled cluster indexes and a proper-subset selection is
-  /// in force, runs the lossless pruned scan instead (Scratch.Pruned
-  /// carries its pruning counters; ListsTotal != 0 exactly when the pruned
-  /// scan served the call).
+  /// Engine API; the selected set and weights are bit-identical to
+  /// flat().select() for every shard count. The distance scan fans out
+  /// over the shards when the store is sharded and the pool is not
+  /// already saturated — or, once the index policy enabled cluster indexes
+  /// and a proper-subset selection is in force, runs the lossless pruned
+  /// scan instead (Scratch.Pruned carries its pruning counters;
+  /// ListsTotal != 0 exactly when the pruned scan served the call).
   ///
   /// \p Batch, when non-null and Active, must have been prepared by
   /// prepareBatchPrunedScan() on this store with the same config;
@@ -264,8 +265,8 @@ public:
                            BatchPrunedScan *Batch = nullptr,
                            size_t QueryIndex = 0) const;
 
-  /// Engine API; bit-identical to flat().pValuesAllExperts() for every
-  /// shard count.
+  /// Engine API; each expert's p-values are bit-identical to
+  /// flat().select() + flat().pValues() for every shard count.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
@@ -277,7 +278,8 @@ private:
     size_t Begin = 0; ///< First entry (multiple of CalibrationAccumBlock).
     size_t End = 0;   ///< One past the last entry.
     /// SortedScores[E][L] = ascending scores of the label-L entries in
-    /// [Begin, End); the per-shard analogue of the flat sorted index.
+    /// [Begin, End); the unweighted full-selection p-value counts binary
+    /// search it.
     std::vector<std::vector<std::vector<double>>> SortedScores;
   };
 

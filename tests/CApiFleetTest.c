@@ -10,7 +10,8 @@
  * it also keeps a dedicated prom_detector calibrated on the identical
  * rows, and requires every fleet verdict — single and batched, before
  * and after an evict -> snapshot-backed reload — to be bit-identical to
- * the dedicated detector's (doubles compared with memcmp, not ==).
+ * the dedicated detector's (doubles compared with memcmp, not ==). Rows
+ * holding a NaN or infinity must fail closed at both handle families.
  *
  * Built and registered from CMakeLists.txt with -std=c99; compilation of
  * this file is itself the header's C-cleanliness check for the test
@@ -147,6 +148,69 @@ static void checkTenantVerdicts(prom_fleet *F, const struct Tenant *T) {
   }
 }
 
+/* A mixed batch through the fleet rejects every non-finite row with
+ * credibility and confidence 0, and its finite rows are bit-identical to
+ * the dedicated detector assessing them alone. */
+static void checkNonFiniteRows(prom_fleet *F, const struct Tenant *T) {
+  double Probs[QUERY_ROWS * MAX_CLASSES];
+  double Features[QUERY_ROWS * MAX_DIM];
+  double FiniteProbs[QUERY_ROWS * MAX_CLASSES];
+  double FiniteFeatures[QUERY_ROWS * MAX_DIM];
+  int WantReject[QUERY_ROWS], GotReject[QUERY_ROWS];
+  double WantCred[QUERY_ROWS], GotCred[QUERY_ROWS];
+  double WantConf[QUERY_ROWS], GotConf[QUERY_ROWS];
+  double Cred = -1.0, Conf = -1.0;
+  int I, NumFinite = 0;
+
+  buildQueries(T, Probs, Features);
+  for (I = 0; I < QUERY_ROWS; ++I) {
+    if (I % 4 == 1) {
+      /* Poison: alternately a NaN feature and an infinite probability. */
+      if (I % 8 == 1)
+        Features[I * T->FeatureDim + T->FeatureDim - 1] = NAN;
+      else
+        Probs[I * T->NumClasses] = INFINITY;
+      continue;
+    }
+    memcpy(FiniteProbs + NumFinite * T->NumClasses, Probs + I * T->NumClasses,
+           sizeof(double) * (size_t)T->NumClasses);
+    memcpy(FiniteFeatures + NumFinite * T->FeatureDim,
+           Features + I * T->FeatureDim,
+           sizeof(double) * (size_t)T->FeatureDim);
+    ++NumFinite;
+  }
+
+  CHECK(prom_assess_batch(T->Dedicated, (size_t)NumFinite, FiniteProbs,
+                          FiniteFeatures, WantReject, WantCred,
+                          WantConf) == 0);
+  CHECK(prom_fleet_assess_batch(F, T->Name, QUERY_ROWS, Probs, Features,
+                                GotReject, GotCred, GotConf) == 0);
+  NumFinite = 0;
+  for (I = 0; I < QUERY_ROWS; ++I) {
+    if (I % 4 == 1) {
+      CHECK(GotReject[I] == 1);
+      CHECK(sameBits(GotCred[I], 0.0));
+      CHECK(sameBits(GotConf[I], 0.0));
+      continue;
+    }
+    CHECK(GotReject[I] == WantReject[NumFinite]);
+    CHECK(sameBits(GotCred[I], WantCred[NumFinite]));
+    CHECK(sameBits(GotConf[I], WantConf[NumFinite]));
+    ++NumFinite;
+  }
+
+  /* The single-query entry points fail closed the same way. */
+  CHECK(prom_fleet_assess(F, T->Name, Probs + T->NumClasses,
+                          Features + T->FeatureDim, &Cred, &Conf) == 1);
+  CHECK(sameBits(Cred, 0.0));
+  CHECK(sameBits(Conf, 0.0));
+  Cred = Conf = -1.0;
+  CHECK(prom_should_reject(T->Dedicated, Probs + 5 * T->NumClasses,
+                           Features + 5 * T->FeatureDim, &Cred, &Conf) == 1);
+  CHECK(sameBits(Cred, 0.0));
+  CHECK(sameBits(Conf, 0.0));
+}
+
 int main(void) {
   struct Tenant Tenants[2];
   prom_fleet *F;
@@ -171,7 +235,16 @@ int main(void) {
   CHECK(prom_create(3, 2, 42.0) == NULL);
   {
     prom_detector *D = prom_create(3, 2, 0.0);
+    double Probs[3] = {0.8, 0.1, 0.1}, Features[2] = {0.0, 0.0};
     CHECK(D != NULL);
+    /* Non-finite calibration rows are refused; finite ones are not. */
+    Features[1] = NAN;
+    CHECK(prom_add_calibration(D, Probs, Features, 0) == -1);
+    Features[1] = 0.0;
+    Probs[2] = -INFINITY;
+    CHECK(prom_add_calibration(D, Probs, Features, 0) == -1);
+    Probs[2] = 0.1;
+    CHECK(prom_add_calibration(D, Probs, Features, 0) == 0);
     prom_destroy(D);
   }
 
@@ -196,8 +269,10 @@ int main(void) {
   CHECK(prom_fleet_memory_bytes(F) > 0);
 
   /* Round 1: warm fleet vs dedicated detectors, both tenants. */
-  for (T = 0; T < 2; ++T)
+  for (T = 0; T < 2; ++T) {
     checkTenantVerdicts(F, &Tenants[T]);
+    checkNonFiniteRows(F, &Tenants[T]);
+  }
 
   /* Evict both (snapshot saved), then re-assess: the lazy snapshot
    * reload must land the identical bits. */

@@ -24,6 +24,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 
 using namespace prom;
@@ -406,6 +409,151 @@ TEST(CApiTest, VerdictsBitIdenticalToPromClassifier) {
     EXPECT_EQ(Cred[I], C1) << "sample " << I;
     EXPECT_EQ(Conf[I], C2) << "sample " << I;
   }
+  prom_destroy(D);
+}
+
+namespace {
+
+constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double Inf = std::numeric_limits<double>::infinity();
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Row-major probabilities / features of the fixture's first \p N test
+/// samples.
+void testRows(SharedFixture &S, size_t N, std::vector<double> &Probs,
+              std::vector<double> &Feats) {
+  for (size_t I = 0; I < N; ++I) {
+    std::vector<double> P = S.Model.predictProba(S.Test[I]);
+    Probs.insert(Probs.end(), P.begin(), P.end());
+    Feats.insert(Feats.end(), S.Test[I].Features.begin(),
+                 S.Test[I].Features.end());
+  }
+}
+
+} // namespace
+
+TEST(CApiTest, NonFiniteCalibrationRowsRefused) {
+  // A NaN or infinite calibration value is refused at the boundary and
+  // never registered: the detector finalizes exactly as one calibrated
+  // on the finite rows alone (a NaN score would otherwise reach the
+  // shards' sorted-score index, whose std::sort needs a strict order).
+  SharedFixture &S = fixture();
+  prom_detector *Ref = makeCDetector(S);
+  ASSERT_NE(Ref, nullptr);
+
+  prom_detector *D = prom_create(4, 2, 0.1);
+  ASSERT_NE(D, nullptr);
+  size_t Refused = 0;
+  for (const data::Sample &Smp : S.Calib.samples()) {
+    std::vector<double> P = S.Model.predictProba(Smp);
+    std::vector<double> F = Smp.Features;
+    ASSERT_EQ(prom_add_calibration(D, P.data(), F.data(), Smp.Label), 0);
+    // Poisoned copies of the row, one value at a time.
+    for (size_t At = 0; At < P.size() + F.size(); ++At)
+      for (double Bad : {NaN, Inf, -Inf}) {
+        std::vector<double> BadP = P, BadF = F;
+        if (At < P.size())
+          BadP[At] = Bad;
+        else
+          BadF[At - P.size()] = Bad;
+        EXPECT_EQ(prom_add_calibration(D, BadP.data(), BadF.data(),
+                                       Smp.Label),
+                  -1);
+        ++Refused;
+      }
+  }
+  ASSERT_GT(Refused, 0u);
+  ASSERT_EQ(prom_finalize(D), 0);
+
+  const size_t N = std::min<size_t>(64, S.Test.size());
+  std::vector<double> Probs, Feats;
+  testRows(S, N, Probs, Feats);
+  std::vector<int> RejectRef(N), Reject(N);
+  std::vector<double> CredRef(N), Cred(N), ConfRef(N), Conf(N);
+  ASSERT_EQ(prom_assess_batch(Ref, N, Probs.data(), Feats.data(),
+                              RejectRef.data(), CredRef.data(),
+                              ConfRef.data()),
+            0);
+  ASSERT_EQ(prom_assess_batch(D, N, Probs.data(), Feats.data(),
+                              Reject.data(), Cred.data(), Conf.data()),
+            0);
+  for (size_t I = 0; I < N; ++I) {
+    EXPECT_EQ(Reject[I], RejectRef[I]) << "sample " << I;
+    EXPECT_TRUE(sameBits(Cred[I], CredRef[I])) << "sample " << I;
+    EXPECT_TRUE(sameBits(Conf[I], ConfRef[I])) << "sample " << I;
+  }
+  prom_destroy(D);
+  prom_destroy(Ref);
+}
+
+TEST(CApiTest, NonFiniteQueryRowsFailClosed) {
+  // A query row holding a NaN or infinity never reaches the detector and
+  // is rejected with credibility and confidence 0; the finite rows of a
+  // mixed batch keep the bits they get when assessed alone.
+  SharedFixture &S = fixture();
+  prom_detector *D = makeCDetector(S);
+  ASSERT_NE(D, nullptr);
+
+  const size_t N = std::min<size_t>(48, S.Test.size());
+  const size_t C = 4, Dim = 2;
+  std::vector<double> Probs, Feats;
+  testRows(S, N, Probs, Feats);
+
+  // Poison every third row, cycling the bad value and its position.
+  auto Poisoned = [](size_t I) { return I % 3 == 1; };
+  std::vector<double> FiniteProbs, FiniteFeats;
+  const double Bads[] = {NaN, Inf, -Inf};
+  for (size_t I = 0; I < N; ++I) {
+    if (Poisoned(I)) {
+      double Bad = Bads[(I / 3) % 3];
+      if ((I / 3) % 2 == 0)
+        Probs[I * C + (I / 3) % C] = Bad;
+      else
+        Feats[I * Dim + (I / 3) % Dim] = Bad;
+      continue;
+    }
+    FiniteProbs.insert(FiniteProbs.end(), Probs.begin() + I * C,
+                       Probs.begin() + (I + 1) * C);
+    FiniteFeats.insert(FiniteFeats.end(), Feats.begin() + I * Dim,
+                       Feats.begin() + (I + 1) * Dim);
+  }
+  size_t NumFinite = FiniteProbs.size() / C;
+
+  std::vector<int> Reject(N, -1), AloneReject(NumFinite, -1);
+  std::vector<double> Cred(N, -1.0), Conf(N, -1.0);
+  std::vector<double> AloneCred(NumFinite, -1.0), AloneConf(NumFinite, -1.0);
+  ASSERT_EQ(prom_assess_batch(D, N, Probs.data(), Feats.data(),
+                              Reject.data(), Cred.data(), Conf.data()),
+            0);
+  ASSERT_EQ(prom_assess_batch(D, NumFinite, FiniteProbs.data(),
+                              FiniteFeats.data(), AloneReject.data(),
+                              AloneCred.data(), AloneConf.data()),
+            0);
+  size_t Alone = 0;
+  for (size_t I = 0; I < N; ++I) {
+    SCOPED_TRACE("row " + std::to_string(I));
+    if (Poisoned(I)) {
+      EXPECT_EQ(Reject[I], 1);
+      EXPECT_TRUE(sameBits(Cred[I], 0.0));
+      EXPECT_TRUE(sameBits(Conf[I], 0.0));
+      // The single-input entry point fails closed the same way.
+      double C1 = -1.0, C2 = -1.0;
+      EXPECT_EQ(prom_should_reject(D, Probs.data() + I * C,
+                                   Feats.data() + I * Dim, &C1, &C2),
+                1);
+      EXPECT_TRUE(sameBits(C1, 0.0));
+      EXPECT_TRUE(sameBits(C2, 0.0));
+      continue;
+    }
+    EXPECT_EQ(Reject[I], AloneReject[Alone]);
+    EXPECT_TRUE(sameBits(Cred[I], AloneCred[Alone]));
+    EXPECT_TRUE(sameBits(Conf[I], AloneConf[Alone]));
+    ++Alone;
+  }
+  EXPECT_EQ(Alone, NumFinite);
   prom_destroy(D);
 }
 

@@ -40,9 +40,10 @@
 // A CalibrationStore at 10^5 and 10^6 entries serves selectForAssessment()
 // both ways — the exact flat scan (index policy disabled) and the lossless
 // cluster-pruned scan (support/ClusterIndex) — across selection fractions
-// 50%/10%/2%. Selections are verified bit-identical (mask + weights) per
-// query before timing; the JSON rows record both latencies, the speedup,
-// the scanned-lists/rows fractions, and the one-time index build cost.
+// 50%/10%/2%. Selections are verified bit-identical (selection bitmap +
+// weights) per query before timing; the JSON rows record both latencies,
+// the speedup, the scanned-lists/rows fractions, and the one-time index
+// build cost.
 //
 // Part 4 (google-benchmark): the paper's original microbenchmarks —
 // committee assessment at increasing calibration sizes, bare model
@@ -365,7 +366,7 @@ void runTreeKnnExpertStudy() {
 struct SelectionSnapshot {
   size_t Keep = 0;
   bool SelectedAll = false;
-  std::vector<uint8_t> Mask;
+  std::vector<uint64_t> SelectedBits;
   std::vector<double> Weights;
 };
 
@@ -415,7 +416,7 @@ void runStoreScaleStudy(size_t N) {
     Out.clear();
     for (const auto &Q : Queries) {
       Store.selectForAssessment(Q.data(), Cfg, S);
-      Out.push_back({S.Keep, S.SelectedAll, S.SelectedMask, S.WeightByEntry});
+      Out.push_back({S.Keep, S.SelectedAll, S.SelectedBits, S.WeightByEntry});
     }
   };
   auto TimePerQueryUs = [&](const PromConfig &Cfg) {
@@ -475,7 +476,8 @@ void runStoreScaleStudy(size_t N) {
       Store.selectForAssessment(Queries[Q].data(), Cfg, S);
       const SelectionSnapshot &Ref = Reference[F][Q];
       if (S.Pruned.ListsTotal == 0 || S.Keep != Ref.Keep ||
-          S.SelectedAll != Ref.SelectedAll || S.SelectedMask != Ref.Mask ||
+          S.SelectedAll != Ref.SelectedAll ||
+          S.SelectedBits != Ref.SelectedBits ||
           S.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(S.WeightByEntry.data(), Ref.Weights.data(),
                       Ref.Weights.size() * sizeof(double)) != 0) {
@@ -502,7 +504,7 @@ void runStoreScaleStudy(size_t N) {
     // bit-identical to the exact reference first, like the per-query path.
     // A fresh scratch replays the reference's query history: WeightByEntry
     // slots of unselected entries carry the previous query's values by
-    // design (the engine only reads them mask-gated), so the full-array
+    // design (the engine only reads them bitmap-gated), so the full-array
     // comparison is only meaningful between runs with identical histories.
     CalibrationStore::BatchPrunedScan Scan;
     Store.prepareBatchPrunedScan(QueryBlock.data(), NumQueries, Dim, Cfg,
@@ -518,7 +520,7 @@ void runStoreScaleStudy(size_t N) {
                                 Q);
       const SelectionSnapshot &Ref = Reference[F][Q];
       if (BS.Pruned.ListsTotal == 0 || BS.Keep != Ref.Keep ||
-          BS.SelectedMask != Ref.Mask ||
+          BS.SelectedBits != Ref.SelectedBits ||
           BS.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(BS.WeightByEntry.data(), Ref.Weights.data(),
                       Ref.Weights.size() * sizeof(double)) != 0) {

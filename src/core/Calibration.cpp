@@ -378,9 +378,10 @@ void CalibrationScores::finishSelectionPruned(const PromConfig &Cfg,
 void CalibrationScores::applySelectionWeights(const PromConfig &Cfg,
                                               AssessmentScratch &S) const {
   size_t N = Entries.size();
-  S.SelectedMask.assign(N, 0);
+  S.SelectedBits.assign((N + 63) / 64, 0);
   for (size_t Pos = 0; Pos < S.Keep; ++Pos)
-    S.SelectedMask[S.Keyed[Pos].second] = 1;
+    S.SelectedBits[S.Keyed[Pos].second / 64] |= uint64_t(1)
+                                                << (S.Keyed[Pos].second % 64);
 
   S.WeightByEntry.resize(N);
   if (Cfg.WeightMode != CalibrationWeightMode::None) {
@@ -523,16 +524,25 @@ void CalibrationScores::accumulateGeneralBlock(const AssessmentScratch &S,
   const CalibrationWeightMode *Modes = S.Modes.data();
   const double *const *Columns = S.Columns.data();
 
+  // Walks the set bits of the selection bitmap over [Begin, End) in
+  // ascending entry order: the entries and the order of every add match a
+  // test of each entry, but the cost follows the selected count.
   auto ForEachSelected = [&](auto &&Body) {
-    for (size_t I = Begin; I < End; ++I) {
-      if (!S.SelectedMask[I])
-        continue;
-      int Label = Labels[I];
-      if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
-        continue;
-      size_t L = static_cast<size_t>(Label);
-      Counts[L] += 1.0;
-      Body(I, L);
+    for (size_t W = Begin / 64; W * 64 < End; ++W) {
+      uint64_t Word = S.SelectedBits[W];
+      if (W * 64 < Begin)
+        Word &= ~uint64_t(0) << (Begin % 64);
+      if (End - W * 64 < 64)
+        Word &= (uint64_t(1) << (End - W * 64)) - 1;
+      for (; Word != 0; Word &= Word - 1) {
+        size_t I = W * 64 + static_cast<size_t>(__builtin_ctzll(Word));
+        int Label = Labels[I];
+        if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
+          continue;
+        size_t L = static_cast<size_t>(Label);
+        Counts[L] += 1.0;
+        Body(I, L);
+      }
     }
   };
 

@@ -77,8 +77,16 @@ struct AssessmentScratch {
   std::vector<double> Dists;
   size_t Keep = 0;                   ///< Number of selected entries.
   bool SelectedAll = false;          ///< Selection covers every entry.
-  std::vector<uint8_t> SelectedMask; ///< 1 for selected entries.
+  /// The selected set as a bitmap: bit I % 64 of word I / 64 is set for
+  /// selected entry I, so the p-value fold finds the Keep selected entries
+  /// of a block from its four words instead of testing every entry.
+  std::vector<uint64_t> SelectedBits;
   std::vector<double> WeightByEntry; ///< Eq. (1) weight, by entry id.
+
+  /// True when entry \p I is in the current selection.
+  bool selected(size_t I) const {
+    return (SelectedBits[I / 64] >> (I % 64)) & 1u;
+  }
   /// Per-(expert, label) accumulators of the fused p-value pass.
   std::vector<double> GreaterEq;
   std::vector<double> Total;
@@ -280,18 +288,18 @@ public:
                            AssessmentScratch &Scratch, size_t Begin,
                            size_t End) const;
 
-  /// The exact selection's partition + mask + Eq. (1) weight steps, run on
+  /// The exact selection's partition + bitmap + Eq. (1) weight steps, run on
   /// the computeDistanceKeys() keys; set and weights match select()'s.
   void finishSelection(const PromConfig &Cfg,
                        AssessmentScratch &Scratch) const;
 
   /// finishSelection() for a cluster-pruned candidate list: Scratch.Keyed
-  /// holds M >= keep (squared distance, entry id) pairs that provably
-  /// contain the keep nearest entries (CalibrationStore's pruned scan, see
-  /// support/ClusterIndex.h). Partitions the candidates and applies the
-  /// identical mask + Eq. (1) weight steps, so the resulting selection
-  /// state is bit-identical to a full-scan finishSelection() — the pruned
-  /// candidates' k smallest pairs are the global k smallest.
+  /// holds keep <= M < 2 keep (squared distance, entry id) pairs that
+  /// provably contain the keep nearest entries (CalibrationStore's pruned
+  /// scan, see support/ClusterIndex.h). Partitions the candidates and
+  /// applies the identical bitmap + Eq. (1) weight steps, so the resulting
+  /// selection state is bit-identical to a full-scan finishSelection() —
+  /// the pruned candidates' k smallest pairs are the global k smallest.
   void finishSelectionPruned(const PromConfig &Cfg,
                              AssessmentScratch &Scratch) const;
 
@@ -303,8 +311,9 @@ public:
   /// Accumulates the general-path Eq. (2) partial sums of entries
   /// [Begin, End) into the caller-zeroed \p GreaterEq / \p Total (both
   /// numExperts() x NumLabels) and \p Counts (NumLabels) buffers, using the
-  /// selection mask/weights and resolved modes in \p Scratch. This is the
-  /// canonical per-block accumulation every p-value path folds from.
+  /// selection bitmap/weights and resolved modes in \p Scratch. Visits only
+  /// the selected entries, in ascending entry order. This is the canonical
+  /// per-block accumulation every p-value path folds from.
   void accumulateGeneralBlock(const AssessmentScratch &Scratch,
                               const double *TestScores, size_t NumLabels,
                               size_t Begin, size_t End, double *GreaterEq,
@@ -317,7 +326,7 @@ public:
 
 private:
   /// Shared tail of finishSelection()/finishSelectionPruned(): the
-  /// selected-entry mask and Eq. (1) weights from the first Scratch.Keep
+  /// selected-entry bitmap and Eq. (1) weights from the first Scratch.Keep
   /// slots of Scratch.Keyed. Every step is order-independent over those
   /// slots, so both callers land on identical bits.
   void applySelectionWeights(const PromConfig &Cfg,

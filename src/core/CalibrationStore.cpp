@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 using namespace prom;
 
@@ -560,10 +561,14 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
           continue;
         for (size_t E = 0; E < NumExp; ++E) {
           const std::vector<double> &LabelScores = Sh.SortedScores[E][L];
+          double Test = TestScores[E * NumLabels + L];
+          // No score is >= a NaN test score (the oracle's fold counts
+          // none), but lower_bound would return begin() and count all.
+          if (std::isnan(Test))
+            continue;
           GE[E * NumLabels + L] = static_cast<double>(
               LabelScores.end() -
-              std::lower_bound(LabelScores.begin(), LabelScores.end(),
-                               TestScores[E * NumLabels + L]));
+              std::lower_bound(LabelScores.begin(), LabelScores.end(), Test));
         }
       }
     };

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 /// Query-tile height of nearestPrunedBatch: bounds the materialized
 /// query-to-centroid block to this many rows regardless of batch size
@@ -174,22 +175,24 @@ void ClusterIndex::prunedWalk(
   // result.
   std::sort(ListOrder.begin(), ListOrder.end());
 
-  // The bound is over *candidate* keys, hence >= the global k-th key; it
-  // tightens lazily (whenever the candidates doubled), first over the
-  // seed so exactly scanned rows can prune before any list is visited.
-  bool HaveBound = false;
-  double BoundKey = 0.0;
-  size_t LastTighten = 0;
+  // The bound is over *candidate* keys, hence >= the global k-th key. It
+  // is set once the candidates first reach K (over the seed when that is
+  // large enough, so exactly scanned rows can prune before any list is
+  // visited) and tightens whenever they reach 2K. Each tightening keeps
+  // the K smallest pairs and drops the rest: a dropped pair orders after
+  // the current K-th pair, which is at or after the final one. Until a
+  // bound exists it is +inf, which neither prunes nor drops.
+  double BoundKey = std::numeric_limits<double>::infinity();
+  size_t TightenAt = K;
   auto Tighten = [&] {
-    if (Cand.size() < K)
-      return;
     std::nth_element(Cand.begin(), Cand.begin() + static_cast<long>(K - 1),
                      Cand.end());
+    Cand.resize(K);
     BoundKey = Cand[K - 1].first;
-    HaveBound = true;
-    LastTighten = Cand.size();
+    TightenAt = 2 * K;
   };
-  Tighten();
+  if (Cand.size() >= TightenAt)
+    Tighten();
 
   for (const std::pair<double, uint64_t> &Ranked : ListOrder) {
     const ClusterIndex &Idx = *Sources[Ranked.second >> 32].Index;
@@ -199,16 +202,20 @@ void ClusterIndex::prunedWalk(
       continue;
     // Strict >: a member at exactly the bound key could still carry a
     // lower id than the current k-th pair, so ties are always scanned.
-    if (HaveBound && Idx.listLowerBoundSq(Ranked.first, L) > BoundKey)
+    if (Idx.listLowerBoundSq(Ranked.first, L) > BoundKey)
       continue;
     ++Stats.ListsScanned;
     Stats.RowsScanned += LE - LB;
     RowDistSq.resize(LE - LB);
     kernels::l2Sq1xN(Query, Idx.Rows.rowPtr(LB), LE - LB, Idx.Rows.dim(),
                      Idx.Rows.stride(), RowDistSq.data());
+    // A row keyed past the bound orders after the K-th candidate pair and
+    // cannot be selected. Written as !(>) so a key equal to the bound (it
+    // may carry a lower id) and a NaN key are kept, as with no bound.
     for (size_t I = LB; I < LE; ++I)
-      Cand.push_back({RowDistSq[I - LB], Idx.RowIds[I]});
-    if (!HaveBound || Cand.size() >= 2 * LastTighten)
+      if (!(RowDistSq[I - LB] > BoundKey))
+        Cand.push_back({RowDistSq[I - LB], Idx.RowIds[I]});
+    if (Cand.size() >= TightenAt)
       Tighten();
   }
 }

@@ -26,18 +26,28 @@
 ///     |q - c| - r_max(c)   <=   |q - x|   for every member x   (triangle)
 ///
 /// provably exceeds the bound. Only surviving lists are scanned — with the
-/// exact kernels — so the candidate set always contains every true k-NN
-/// and the final selection is bit-identical to the full scan under the
+/// exact kernels — and of their rows only those not keyed past the bound
+/// join the candidates, which are cut back to the k smallest when they
+/// first reach k and whenever they reach 2k. So the walk ends with fewer
+/// than 2k candidates, its partition work follows k rather than the
+/// scanned rows, the candidate set always contains every true k-NN, and
+/// the final selection is bit-identical to the full scan under the
 /// (distance, index) tie-break total order.
 ///
 /// Losslessness argument, in full:
+///  * The bound is the k-th smallest candidate key. Candidates are a
+///    subset of the rows, so it is >= the global k-th smallest key.
 ///  * A list is pruned only when its *safe* lower bound strictly exceeds
-///    the current k-th smallest candidate key, which is itself >= the
-///    global k-th smallest key (candidates are a subset). Every pruned
-///    member therefore has a squared distance strictly greater than the
-///    global k-th key, so it cannot displace any selected pair — not even
-///    on ties, which compare equal on the key and are never pruned
-///    (strict inequality).
+///    the bound. Every pruned member therefore has a squared distance
+///    strictly greater than the global k-th key, so it cannot displace any
+///    selected pair — not even on ties, which compare equal on the key and
+///    are never pruned (strict inequality).
+///  * A scanned row is dropped only when its key strictly exceeds the
+///    bound, and a cut drops only pairs ordered after the current k-th
+///    candidate pair. Either way the dropped pair orders after the current
+///    k-th pair, which is at or after the final k-th pair, so it is not
+///    selected. Keys equal to the bound (which may carry a lower id) and
+///    NaN keys (which compare false) are kept, as with no bound at all.
 ///  * The scanned distances are computed by the same kernels on copies of
 ///    the same rows: a kernel fold depends only on the row values and
 ///    dim(), both preserved by the copy, so every surviving candidate
@@ -178,14 +188,18 @@ public:
   /// the \p NumSources indexes by (centroid distance, (source << 32) |
   /// list), tightens the \p K-th smallest candidate key — first over the
   /// (distSq, row id) pairs \p Cand already holds, which the caller
-  /// scanned exactly — and appends the kernel-scanned rows of every list
-  /// whose lower bound does not strictly exceed it. Afterwards \p Cand
-  /// provably holds the K smallest pairs of the seed and the covered rows
-  /// (unordered). The source indexes must cover disjoint rows outside the
-  /// seed. \p ListOrder and \p RowDistSq are caller-owned working
-  /// buffers, so a recycled caller allocates nothing per query. \p Stats
-  /// is overwritten on every call, K == 0 included (nothing is scanned
-  /// then).
+  /// scanned exactly — and kernel-scans every list whose lower bound does
+  /// not strictly exceed it, appending the rows whose key does not
+  /// strictly exceed it either. Each tightening cuts \p Cand back to its
+  /// K smallest pairs; it runs once \p Cand first reaches K and then
+  /// whenever it reaches 2K. Afterwards \p Cand holds between K and
+  /// 2K - 1 pairs (all of them when the seed and the covered rows number
+  /// fewer than K), unordered, and provably contains the K smallest pairs
+  /// of the seed and the covered rows. The source indexes must cover
+  /// disjoint rows outside the seed. \p ListOrder and \p RowDistSq are
+  /// caller-owned working buffers, so a recycled caller allocates nothing
+  /// per query. \p Stats is overwritten on every call, K == 0 included
+  /// (nothing is scanned and \p Cand is left as it is then).
   static void prunedWalk(const double *Query, const PrunedWalkSource *Sources,
                          size_t NumSources, size_t K,
                          std::vector<std::pair<double, uint32_t>> &Cand,

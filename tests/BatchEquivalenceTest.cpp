@@ -30,6 +30,7 @@
 #include "ml/AttentionPool.h"
 #include "ml/Gcn.h"
 #include "ml/GradientBoosting.h"
+#include "ml/HostModel.h"
 #include "ml/Knn.h"
 #include "ml/Linear.h"
 #include "ml/Lstm.h"
@@ -42,6 +43,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 
 using namespace prom;
@@ -557,6 +559,37 @@ TEST(BatchEquivalenceTest, UnsmoothedAndUnanimityConfigsBitIdentical) {
   PromClassifier Prom(Model, Cfg);
   Prom.calibrate(Calib);
   checkClassifierEquivalence(Prom, mixedTestSet(80, R));
+}
+
+TEST(BatchEquivalenceTest, NaNProbabilityCountsNoCalibrationScore) {
+  // A NaN probability gives NaN test scores, and no calibration score is
+  // >= NaN. The unweighted full-selection path counts through binary
+  // searches of the shards' sorted scores, where a NaN key would match
+  // every score; it must count none, as assessSerial()'s fold does.
+  support::Rng R(49);
+  ml::HostOutputClassifier Host(/*NumClasses=*/3, /*FeatureDim=*/2);
+  data::Dataset Calib("host", 3);
+  for (size_t I = 0; I < 300; ++I) {
+    double P[3] = {R.uniform(0.1, 1.0), R.uniform(0.1, 1.0),
+                   R.uniform(0.1, 1.0)};
+    double Sum = P[0] + P[1] + P[2];
+    for (double &V : P)
+      V /= Sum;
+    double F[2] = {R.gaussian(0.0, 1.0), R.gaussian(0.0, 1.0)};
+    Calib.add(ml::HostOutputClassifier::pack(P, F, 3, 2,
+                                             static_cast<int>(I % 3)));
+  }
+  PromConfig Cfg;
+  Cfg.WeightMode = CalibrationWeightMode::None;
+  Cfg.SelectAllBelow = 1000000;
+  PromClassifier Prom(Host, Cfg);
+  Prom.calibrate(Calib);
+
+  data::Dataset Test("host", 3);
+  double NaNProbs[3] = {std::numeric_limits<double>::quiet_NaN(), 0.5, 0.5};
+  double F[2] = {0.25, -0.5};
+  Test.add(ml::HostOutputClassifier::pack(NaNProbs, F, 3, 2));
+  checkClassifierEquivalence(Prom, Test);
 }
 
 TEST(BatchEquivalenceTest, GcnClassifierBitIdentical) {

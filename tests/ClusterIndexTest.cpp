@@ -491,6 +491,55 @@ TEST(ClusterIndexTest, PruningActuallySkipsListsOnClusteredData) {
   EXPECT_LT(Stats.RowsScanned, Stats.RowsTotal / 2);
 }
 
+TEST(ClusterIndexTest, PrunedWalkKeepsBoundedCandidates) {
+  // A large K over overlapping blobs scans well past 2K rows, so the walk
+  // has to tighten and drop rows on the way; its candidate list must end
+  // below 2K (the cost follows K, not the scanned rows) and still hold
+  // the exact K-NN.
+  Rng R(17);
+  const size_t Dim = 16;
+  FeatureMatrix Rows(12288, Dim);
+  for (size_t I = 0; I < Rows.rows(); ++I) {
+    double Base = static_cast<double>(I % 24) * 6.0;
+    for (size_t D = 0; D < Dim; ++D)
+      Rows.rowPtr(I)[D] = Base + R.gaussian(0.0, 5.0);
+  }
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), 128, 5);
+  ASSERT_TRUE(Index.valid());
+
+  std::vector<double> CentDistSq(Index.numLists());
+  std::vector<std::pair<double, uint32_t>> Cand;
+  std::vector<std::pair<double, uint64_t>> ListOrder;
+  std::vector<double> RowDistSq;
+  for (size_t K : {size_t(1), size_t(37), size_t(700), size_t(1500)}) {
+    for (int Q = 0; Q < 4; ++Q) {
+      SCOPED_TRACE("K " + std::to_string(K) + " query " + std::to_string(Q));
+      std::vector<double> Query(Dim);
+      for (double &V : Query)
+        V = R.uniform(0.0, 140.0);
+      Index.centroidDistances(Query.data(), CentDistSq.data());
+      PrunedWalkSource Source{&Index, CentDistSq.data()};
+      ClusterScanStats Stats;
+      Cand.clear();
+      ClusterIndex::prunedWalk(Query.data(), &Source, 1, K, Cand, ListOrder,
+                               RowDistSq, Stats);
+      EXPECT_GE(Cand.size(), K);
+      EXPECT_LT(Cand.size(), 2 * K);
+      if (K == 1500) {
+        EXPECT_GT(Stats.RowsScanned, 3 * K); // Unbounded, Cand would be > 3K.
+      }
+
+      std::vector<std::pair<double, uint32_t>> Want =
+          fullScanNearest(Rows, Query.data(), K);
+      std::sort(Cand.begin(), Cand.end());
+      Cand.resize(K);
+      expectSamePairs(Cand, Want);
+      expectSamePairs(Index.nearestPruned(Query.data(), K), Want);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // nearestPrunedBatch: batch-native pruned k-NN
 //===----------------------------------------------------------------------===//

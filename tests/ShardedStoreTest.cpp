@@ -217,7 +217,7 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
     CalibrationSelection Sel = Scores.select(Query, Cfg);
     ASSERT_EQ(Sel.Indices.size(), S.Keep);
     for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
-      EXPECT_EQ(S.SelectedMask[Sel.Indices[Pos]], 1);
+      EXPECT_TRUE(S.selected(Sel.Indices[Pos]));
       EXPECT_EQ(S.WeightByEntry[Sel.Indices[Pos]], Sel.Weights[Pos]);
     }
   }

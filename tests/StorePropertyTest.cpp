@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -320,7 +321,7 @@ void runBatchPreparedProgram(uint64_t Seed) {
                 prom::testing::bits(Standalone.Keyed[I].first));
       EXPECT_EQ(WithBatch.Keyed[I].second, Standalone.Keyed[I].second);
     }
-    ASSERT_EQ(WithBatch.SelectedMask, Standalone.SelectedMask);
+    ASSERT_EQ(WithBatch.SelectedBits, Standalone.SelectedBits);
     ASSERT_EQ(WithBatch.WeightByEntry.size(),
               Standalone.WeightByEntry.size());
     for (size_t I = 0; I < WithBatch.WeightByEntry.size(); ++I)
@@ -420,7 +421,7 @@ TEST(StorePropertyTest, ExactTailAloneBoundsThePrunedWalk) {
   EXPECT_EQ(SLive.Pruned.RowsTotal, Live.size());
   EXPECT_EQ(SExact.Pruned.ListsTotal, 0u);
 
-  // The selected keys (in (key, id) order), mask and weights are the
+  // The selected keys (in (key, id) order), bitmap and weights are the
   // exact scan's bits.
   ASSERT_EQ(SLive.Keep, SExact.Keep);
   auto SelectedKeys = [](const AssessmentScratch &S) {
@@ -436,7 +437,51 @@ TEST(StorePropertyTest, ExactTailAloneBoundsThePrunedWalk) {
               prom::testing::bits(ExactKeys[I].first));
     EXPECT_EQ(LiveKeys[I].second, ExactKeys[I].second);
   }
-  EXPECT_EQ(SLive.SelectedMask, SExact.SelectedMask);
+  EXPECT_EQ(SLive.SelectedBits, SExact.SelectedBits);
+  ASSERT_EQ(SLive.WeightByEntry.size(), SExact.WeightByEntry.size());
+  for (size_t I = 0; I < SLive.WeightByEntry.size(); ++I)
+    EXPECT_EQ(prom::testing::bits(SLive.WeightByEntry[I]),
+              prom::testing::bits(SExact.WeightByEntry[I]))
+        << "entry " << I;
+}
+
+TEST(StorePropertyTest, NaNQueryPrunedSelectionMatchesExactScan) {
+  // A query with one NaN coordinate keys every entry NaN. The exact scan
+  // then selects the Keep lowest ids; the pruned walk must as well, which
+  // needs it to keep NaN-keyed rows past its (NaN) bound rather than drop
+  // them. Interleaved blobs spread every list over the whole id range.
+  support::Rng R(20260903);
+  std::vector<CalibrationEntry> Left = makeBlobEntries(400, -20.0, R);
+  std::vector<CalibrationEntry> Right = makeBlobEntries(400, 20.0, R);
+  CalibrationStore Live;
+  for (size_t I = 0; I < Left.size(); ++I) {
+    Live.add(Left[I]);
+    Live.add(Right[I]);
+  }
+  ClusterIndexPolicy Policy;
+  Policy.Enabled = true;
+  Policy.MinEntries = 64;
+  Policy.NumCentroids = 8;
+  Live.setIndexPolicy(Policy);
+  Live.finalize(1);
+  ASSERT_EQ(Live.indexedShards(), 1u);
+
+  CalibrationStore Exact = Live;
+  Exact.setIndexPolicy(ClusterIndexPolicy());
+  PromConfig Cfg;
+  Cfg.SelectFraction = 0.1;
+  std::vector<double> Query(Dim, 0.5);
+  Query[2] = std::numeric_limits<double>::quiet_NaN();
+  AssessmentScratch SLive, SExact;
+  Live.selectForAssessment(Query.data(), Cfg, SLive);
+  Exact.selectForAssessment(Query.data(), Cfg, SExact);
+
+  EXPECT_GT(SLive.Pruned.ListsTotal, 0u);
+  EXPECT_EQ(SExact.Pruned.ListsTotal, 0u);
+  ASSERT_EQ(SLive.Keep, SExact.Keep);
+  EXPECT_EQ(SLive.SelectedBits, SExact.SelectedBits);
+  for (size_t I = 0; I < SExact.Keep; ++I)
+    EXPECT_TRUE(SExact.selected(I)) << "entry " << I;
   ASSERT_EQ(SLive.WeightByEntry.size(), SExact.WeightByEntry.size());
   for (size_t I = 0; I < SLive.WeightByEntry.size(); ++I)
     EXPECT_EQ(prom::testing::bits(SLive.WeightByEntry[I]),

@@ -91,8 +91,8 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
     ASSERT_EQ(SLive.Keep, SRef.Keep);
     ASSERT_EQ(SLive.SelectedAll, SRef.SelectedAll);
     for (size_t I = 0; I < Ref.size(); ++I) {
-      ASSERT_EQ(SLive.SelectedMask[I], SRef.SelectedMask[I]) << "entry " << I;
-      if (SRef.SelectedMask[I]) {
+      ASSERT_EQ(SLive.selected(I), SRef.selected(I)) << "entry " << I;
+      if (SRef.selected(I)) {
         ASSERT_EQ(bits(SLive.WeightByEntry[I]), bits(SRef.WeightByEntry[I]))
             << "entry " << I;
       }

@@ -20,6 +20,13 @@
 // run at 2x shows the alternative: backpressure pushes the arrival thread
 // off its schedule and offered load simply cannot be sustained.
 //
+// The fleet row: the same service in fleet mode over a DetectorRegistry of
+// 8 tenants with Zipf(1) popularity and a memory budget of 3.5 detectors,
+// offered 300, 600 and 1200 rps open loop. Besides the served rate, shed
+// share and p50 it reports the registry hit ratio and the mean batch size,
+// the two numbers that show whether the batcher schedules around which
+// detectors are resident or cold-loads its way into a collapse.
+//
 // Output: human-readable table plus one JSON line per metric (schema of
 // bench::jsonResult). Pass --ci for the small configuration used by the
 // workflow artifact job.
@@ -29,12 +36,18 @@
 #include "bench/BenchCommon.h"
 #include "ml/Mlp.h"
 #include "serve/AssessmentService.h"
+#include "serve/DetectorRegistry.h"
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -152,20 +165,18 @@ struct LoadRun {
   double AchievedRps = 0.0; ///< Served verdicts per second of run.
   double ShedRate = 0.0;    ///< Shed / emitted.
   double P50Us = 0.0, P99Us = 0.0, P999Us = 0.0;
+  double MeanBatch = 0.0; ///< Served requests per assessed batch.
+  double HitRatio = 0.0;  ///< Fleet rows: registry leases that were hits.
   bool AllResolved = false; ///< Every future got a verdict or a ShedError.
 };
 
-/// One open-loop run: emit the schedule against a live service, harvest
-/// every future, report latency quantiles of the served requests from the
-/// service's own histogram (recorded at fulfillment, so harvester lag
-/// cannot inflate the tail).
-LoadRun runOpenLoop(const LoadBenchState &S, const std::vector<double> &Offsets,
-                    serve::ShedPolicy Policy,
-                    std::chrono::microseconds Deadline) {
-  serve::ServiceConfig Cfg = loadServiceConfig();
-  Cfg.Shed = Policy;
-  serve::AssessmentService Svc(*S.Prom, Cfg);
-
+/// Emits the schedule against the live \p Svc (request I through
+/// \p Submit), harvests every future, and reports latency quantiles of the
+/// served requests from the service's own histogram (recorded at
+/// fulfillment, so harvester lag cannot inflate the tail).
+LoadRun runSchedule(serve::AssessmentService &Svc,
+                    const std::vector<double> &Offsets,
+                    const std::function<std::future<Verdict>(size_t)> &Submit) {
   std::vector<std::future<Verdict>> Futures;
   Futures.reserve(Offsets.size());
   auto Start = Clock::now() + std::chrono::milliseconds(2);
@@ -178,11 +189,7 @@ LoadRun runOpenLoop(const LoadBenchState &S, const std::vector<double> &Offsets,
     // late, but never rescheduled; the backlog is the measurement.
     if (Arrival > Clock::now() + std::chrono::microseconds(100))
       std::this_thread::sleep_until(Arrival);
-    if (Policy == serve::ShedPolicy::Block)
-      Futures.push_back(Svc.submit(S.Pool[I % S.Pool.size()]));
-    else
-      Futures.push_back(
-          Svc.submitWithDeadline(S.Pool[I % S.Pool.size()], Deadline));
+    Futures.push_back(Submit(I));
   }
   double EmitSec = secondsSince(Start);
 
@@ -215,8 +222,99 @@ LoadRun runOpenLoop(const LoadBenchState &S, const std::vector<double> &Offsets,
   Run.P50Us = Stats.Latency.p50Us();
   Run.P99Us = Stats.Latency.p99Us();
   Run.P999Us = Stats.Latency.p999Us();
+  Run.MeanBatch = Stats.meanBatchSize();
   Run.AllResolved = Hung == 0 && Served + Shed == Offsets.size() &&
                     Stats.Completed == Served && Stats.shedTotal() == Shed;
+  return Run;
+}
+
+/// One single-tenant open-loop run under \p Policy.
+LoadRun runOpenLoop(const LoadBenchState &S, const std::vector<double> &Offsets,
+                    serve::ShedPolicy Policy,
+                    std::chrono::microseconds Deadline) {
+  serve::ServiceConfig Cfg = loadServiceConfig();
+  Cfg.Shed = Policy;
+  serve::AssessmentService Svc(*S.Prom, Cfg);
+  return runSchedule(Svc, Offsets, [&](size_t I) {
+    const data::Sample &Smp = S.Pool[I % S.Pool.size()];
+    if (Policy == serve::ShedPolicy::Block)
+      return Svc.submit(Smp);
+    return Svc.submitWithDeadline(Smp, Deadline);
+  });
+}
+
+/// The fleet row's deployment: 8 tenants over the bench model, each
+/// calibrated on its own 1,000-sample draw, in a registry whose budget
+/// holds 3.5 detectors (snapshot-backed, so misses cold-load).
+struct FleetBenchState {
+  static constexpr size_t NumTenants = 8;
+  std::string Dir;
+  std::unique_ptr<serve::DetectorRegistry> Registry;
+  std::vector<double> Zipf; ///< Tenant popularity, Zipf(1).
+
+  explicit FleetBenchState(LoadBenchState &S)
+      : Dir((std::filesystem::temp_directory_path() /
+             ("prom_serve_load_fleet_" + std::to_string(::getpid())))
+                .string()) {
+    std::filesystem::remove_all(Dir);
+    std::vector<std::unique_ptr<PromClassifier>> Engines;
+    for (size_t T = 0; T < NumTenants; ++T) {
+      data::Dataset Calib{"serve", 6};
+      for (size_t I = 0; I < 1000; ++I)
+        Calib.add(S.makeSample(static_cast<int>(I % 6)));
+      Engines.push_back(std::make_unique<PromClassifier>(S.Model));
+      Engines.back()->calibrate(Calib);
+      Zipf.push_back(1.0 / static_cast<double>(T + 1));
+    }
+    serve::RegistryConfig RCfg;
+    const double DetectorBytes =
+        static_cast<double>(Engines[0]->memoryBytes());
+    RCfg.MemoryBudgetBytes = static_cast<size_t>(3.5 * DetectorBytes);
+    Registry = std::make_unique<serve::DetectorRegistry>(RCfg);
+    for (size_t T = 0; T < NumTenants; ++T) {
+      serve::TenantSpec Spec;
+      Spec.Model = &S.Model;
+      Spec.SnapshotDir = Dir + "/" + tenant(T);
+      if (!Registry->registerTenant(tenant(T), Spec) ||
+          !Registry->installDetector(tenant(T), std::move(Engines[T]))) {
+        std::fprintf(stderr, "FATAL: fleet set-up failed for %s\n",
+                     tenant(T).c_str());
+        std::exit(1);
+      }
+    }
+  }
+  ~FleetBenchState() {
+    Registry.reset();
+    std::filesystem::remove_all(Dir);
+  }
+
+  static std::string tenant(size_t T) { return "t" + std::to_string(T); }
+};
+
+/// One fleet open-loop run: Zipf-drawn tenants, DeadlineAware shedding.
+LoadRun runFleet(const LoadBenchState &S, FleetBenchState &F,
+                 const std::vector<double> &Offsets, support::Rng &R,
+                 std::chrono::microseconds Deadline) {
+  std::vector<std::string> Tenants;
+  Tenants.reserve(Offsets.size());
+  for (size_t I = 0; I < Offsets.size(); ++I)
+    Tenants.push_back(FleetBenchState::tenant(R.weightedIndex(F.Zipf)));
+  serve::ServiceConfig Cfg = loadServiceConfig();
+  Cfg.Shed = serve::ShedPolicy::DeadlineAware;
+  serve::RegistryStats Before = F.Registry->stats();
+  LoadRun Run;
+  {
+    serve::AssessmentService Svc(*F.Registry, Cfg);
+    Run = runSchedule(Svc, Offsets, [&](size_t I) {
+      return Svc.submitWithDeadline(Tenants[I], S.Pool[I % S.Pool.size()],
+                                    Deadline);
+    });
+  }
+  serve::RegistryStats After = F.Registry->stats();
+  uint64_t Hits = After.Hits - Before.Hits;
+  uint64_t Leases = Hits + After.Loads - Before.Loads;
+  Run.HitRatio =
+      Leases ? static_cast<double>(Hits) / static_cast<double>(Leases) : 0.0;
   return Run;
 }
 
@@ -305,6 +403,37 @@ int main(int argc, char **argv) {
     jsonResult("serve_load", "block_200x_achieved_rps", Run.AchievedRps);
     jsonResult("serve_load", "block_200x_p999_us", Run.P999Us);
     Healthy = Healthy && Run.AllResolved;
+  }
+
+  // The fleet row. Runs are 1 s even under --ci: at 300 rps a shorter
+  // run holds too few requests for a p50.
+  {
+    FleetBenchState F(S);
+    const double FleetSec = 1.0;
+    support::Rng TenantRng(BenchSeed + 2);
+    for (double Rps : {300.0, 600.0, 1200.0}) {
+      std::vector<double> Offsets =
+          makeSchedule(false, Rps, FleetSec, ScheduleRng);
+      LoadRun Run = runFleet(S, F, Offsets, TenantRng, Deadline);
+      std::printf("fleet   %4.0frps: offered %9.1f req/s  achieved %9.1f "
+                  "req/s  shed %5.1f%%  p50 %8.1fus  hit %5.1f%%  "
+                  "batch %5.2f%s\n",
+                  Rps, Run.OfferedRps, Run.AchievedRps, 100.0 * Run.ShedRate,
+                  Run.P50Us, 100.0 * Run.HitRatio, Run.MeanBatch,
+                  Run.AllResolved ? "" : "  [UNRESOLVED FUTURES]");
+      char Tag[32];
+      std::snprintf(Tag, sizeof(Tag), "fleet_%04drps",
+                    static_cast<int>(Rps));
+      jsonResult("serve_load", std::string(Tag) + "_achieved_rps",
+                 Run.AchievedRps);
+      jsonResult("serve_load", std::string(Tag) + "_shed_rate", Run.ShedRate);
+      jsonResult("serve_load", std::string(Tag) + "_p50_us", Run.P50Us);
+      jsonResult("serve_load", std::string(Tag) + "_registry_hit_ratio",
+                 Run.HitRatio);
+      jsonResult("serve_load", std::string(Tag) + "_mean_batch_size",
+                 Run.MeanBatch);
+      Healthy = Healthy && Run.AllResolved;
+    }
   }
 
   if (!Healthy) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 using namespace prom;
 using namespace prom::serve;
@@ -27,8 +28,19 @@ const char *shedMessage(ShedReason R) {
     return "AssessmentService is shut down";
   case ShedReason::UnknownTenant:
     return "request shed: unknown or unloadable tenant";
+  case ShedReason::InvalidInput:
+    return "request shed: non-finite feature";
   }
   return "request shed";
+}
+
+/// The resident flag of the single-tenant mode's one queue.
+const std::atomic<bool> AlwaysResident{true};
+
+/// The service's input contract: every feature is finite.
+bool finiteFeatures(const data::Sample &S) {
+  return std::all_of(S.Features.begin(), S.Features.end(),
+                     [](double V) { return std::isfinite(V); });
 }
 
 double microsBetween(AssessmentService::Clock::time_point From,
@@ -98,6 +110,7 @@ AssessmentService::AssessmentService(const PromClassifier &Engine,
                                      WindowedDriftMonitor *Monitor)
     : Engine(&Engine), Fleet(nullptr), Cfg(CfgIn), Monitor(Monitor) {
   assert(Engine.isCalibrated() && "serve an uncalibrated detector");
+  Queues[std::string()].Resident = &AlwaysResident;
   spawnBatchers();
 }
 
@@ -135,29 +148,93 @@ void AssessmentService::shed(Request &Req, ShedReason Reason) {
   Req.P.set_exception(std::make_exception_ptr(ShedError(Reason)));
 }
 
-void AssessmentService::countShedLocked(const Request &Req) {
+void AssessmentService::countShedLocked(const std::string &Tenant,
+                                        uint64_t N) {
   if (Fleet)
-    ++Stats.Tenants[Req.Tenant].Shed;
+    Stats.Tenants[Tenant].Shed += N;
+}
+
+AssessmentService::TenantQueue &
+AssessmentService::queueLocked(const std::string &Tenant,
+                               std::unique_lock<std::mutex> &Lock) {
+  if (!Fleet)
+    return Queues.begin()->second; // The one queue; tags are ignored.
+  auto It = Queues.find(Tenant);
+  if (It != Queues.end() && It->second.Resident)
+    return It->second;
+  // First sight of the tag, or one the registry did not know last time:
+  // resolve its flag with Mutex dropped, because the registry mutex may
+  // be held across a cold load.
+  Lock.unlock();
+  const std::atomic<bool> *Flag = Fleet->residencyFlag(Tenant);
+  Lock.lock();
+  auto Ins = Queues.try_emplace(Tenant);
+  TenantQueue &Q = Ins.first->second;
+  if (Ins.second)
+    Q.Tenant = Tenant; // Immutable from here on: batchers read it unlocked.
+  if (!Q.Resident)
+    Q.Resident = Flag;
+  return Q;
+}
+
+void AssessmentService::enqueueLocked(TenantQueue &Q, Request Req) {
+  Req.Seq = ++LastSeq;
+  Q.Requests.push_back(std::move(Req));
+  ++Queued;
+  ++Stats.Submitted;
+  if (Fleet)
+    ++Stats.Tenants[Q.Tenant].Submitted;
+}
+
+AssessmentService::TenantQueue *
+AssessmentService::pickTenantLocked(bool &OthersInRound) {
+  assert(Queued > 0 && "picking from an empty queue");
+  // Two passes at most: if the round is used up, the new one holds every
+  // queued request.
+  while (true) {
+    TenantQueue *Warm = nullptr, *Cold = nullptr;
+    size_t InRound = 0;
+    for (auto &KV : Queues) {
+      TenantQueue &Q = KV.second;
+      // FIFO per tenant: the front is the tenant's oldest request, so the
+      // tenant has a request in the round iff its front is in it.
+      if (Q.Requests.empty() || Q.Requests.front().Seq > RoundEnd)
+        continue;
+      ++InRound;
+      TenantQueue *&Best = Q.resident() ? Warm : Cold;
+      if (!Best || Q.Requests.front().Seq < Best->Requests.front().Seq)
+        Best = &Q;
+    }
+    if (InRound > 0) {
+      OthersInRound = InRound > 1;
+      return Warm ? Warm : Cold;
+    }
+    RoundEnd = LastSeq;
+  }
 }
 
 void AssessmentService::evictExpiredLocked(Clock::time_point Now,
                                            std::vector<Request> &Out) {
-  // Caller holds Mutex. Expired requests anywhere in the queue are pulled
-  // out (deadlines are per request, so expiry is not FIFO); their
+  // Caller holds Mutex. Expired requests anywhere in any tenant queue are
+  // pulled out (deadlines are per request, so expiry is not FIFO); their
   // promises are failed by the caller after unlocking.
-  auto Keep = Queue.begin();
-  for (auto It = Queue.begin(); It != Queue.end(); ++It) {
-    if (It->expired(Now)) {
-      ++Stats.ShedExpired;
-      countShedLocked(*It);
-      Out.push_back(std::move(*It));
-    } else {
-      if (Keep != It)
-        *Keep = std::move(*It);
-      ++Keep;
+  for (auto &KV : Queues) {
+    std::deque<Request> &Q = KV.second.Requests;
+    auto Keep = Q.begin();
+    for (auto It = Q.begin(); It != Q.end(); ++It) {
+      if (It->expired(Now)) {
+        ++Stats.ShedExpired;
+        countShedLocked(KV.second.Tenant);
+        Out.push_back(std::move(*It));
+      } else {
+        if (Keep != It)
+          *Keep = std::move(*It);
+        ++Keep;
+      }
     }
+    Queued -= static_cast<size_t>(Q.end() - Keep);
+    Q.erase(Keep, Q.end());
   }
-  Queue.erase(Keep, Queue.end());
 }
 
 std::future<Verdict> AssessmentService::submit(data::Sample S) {
@@ -190,9 +267,11 @@ std::future<Verdict> AssessmentService::submitImpl(std::string Tenant,
                                                    data::Sample S,
                                                    bool HasDeadline,
                                                    Clock::time_point Deadline) {
+  // Fail closed, outside the lock: a non-finite feature never reaches a
+  // batch.
+  const bool Invalid = !finiteFeatures(S);
   Request Req;
   Req.S = std::move(S);
-  Req.Tenant = std::move(Tenant);
   Req.SubmittedAt = Clock::now();
   Req.HasDeadline = HasDeadline;
   Req.Deadline = Deadline;
@@ -203,23 +282,27 @@ std::future<Verdict> AssessmentService::submitImpl(std::string Tenant,
   ShedReason Reason = ShedReason::QueueFull;
   {
     std::unique_lock<std::mutex> Lock(Mutex);
+    TenantQueue &Q = queueLocked(Tenant, Lock);
     if (Stopping) {
       ShedNow = true;
       Reason = ShedReason::Shutdown;
       ++Stats.ShedShutdown;
+    } else if (Invalid) {
+      ShedNow = true;
+      Reason = ShedReason::InvalidInput;
+      ++Stats.ShedInvalidInput;
     } else if (Req.expired(Req.SubmittedAt)) {
       // A non-positive budget: the caller's deadline is already gone.
       ShedNow = true;
       Reason = ShedReason::DeadlineExpired;
       ++Stats.ShedExpired;
-    } else if (Queue.size() >= Cfg.QueueCapacity) {
+    } else if (Queued >= Cfg.QueueCapacity) {
       switch (Cfg.Shed) {
       case ShedPolicy::Block:
         // Backpressure: wait for space. Expiry while waiting is caught at
         // batch-pick time, so a deadline still bounds wasted engine work.
-        NotFull.wait(Lock, [&] {
-          return Stopping || Queue.size() < Cfg.QueueCapacity;
-        });
+        NotFull.wait(Lock,
+                     [&] { return Stopping || Queued < Cfg.QueueCapacity; });
         if (Stopping) {
           ShedNow = true;
           Reason = ShedReason::Shutdown;
@@ -235,7 +318,7 @@ std::future<Verdict> AssessmentService::submitImpl(std::string Tenant,
         // Make room from requests that can no longer be answered in time
         // before refusing work that still can.
         evictExpiredLocked(Clock::now(), Evicted);
-        if (Queue.size() >= Cfg.QueueCapacity) {
+        if (Queued >= Cfg.QueueCapacity) {
           ShedNow = true;
           Reason = ShedReason::QueueFull;
           ++Stats.ShedQueueFull;
@@ -243,14 +326,10 @@ std::future<Verdict> AssessmentService::submitImpl(std::string Tenant,
         break;
       }
     }
-    if (ShedNow) {
-      countShedLocked(Req);
-    } else {
-      ++Stats.Submitted;
-      if (Fleet)
-        ++Stats.Tenants[Req.Tenant].Submitted;
-      Queue.push_back(std::move(Req));
-    }
+    if (ShedNow)
+      countShedLocked(Tenant);
+    else
+      enqueueLocked(Q, std::move(Req));
   }
   for (Request &E : Evicted)
     shed(E, ShedReason::DeadlineExpired);
@@ -273,9 +352,9 @@ bool AssessmentService::trySubmit(const std::string &Tenant, data::Sample S,
 
 bool AssessmentService::trySubmitImpl(std::string Tenant, data::Sample S,
                                       std::future<Verdict> &Out) {
+  const bool Invalid = !finiteFeatures(S);
   Request Req;
   Req.S = std::move(S);
-  Req.Tenant = std::move(Tenant);
   Req.SubmittedAt = Clock::now();
   if (Cfg.DefaultDeadline.count() > 0) {
     Req.HasDeadline = true;
@@ -284,15 +363,23 @@ bool AssessmentService::trySubmitImpl(std::string Tenant, data::Sample S,
   std::future<Verdict> Fut = Req.P.get_future();
   {
     std::unique_lock<std::mutex> Lock(Mutex);
-    if (Stopping || Queue.size() >= Cfg.QueueCapacity)
+    TenantQueue &Q = queueLocked(Tenant, Lock);
+    if (Stopping)
       return false;
-    ++Stats.Submitted;
-    if (Fleet)
-      ++Stats.Tenants[Req.Tenant].Submitted;
-    Queue.push_back(std::move(Req));
+    if (Invalid) {
+      ++Stats.ShedInvalidInput;
+      countShedLocked(Tenant);
+    } else {
+      if (Queued >= Cfg.QueueCapacity)
+        return false;
+      enqueueLocked(Q, std::move(Req));
+    }
   }
+  if (Invalid)
+    shed(Req, ShedReason::InvalidInput);
+  else
+    NotEmpty.notify_one();
   Out = std::move(Fut);
-  NotEmpty.notify_one();
   return true;
 }
 
@@ -310,61 +397,48 @@ void AssessmentService::batcherLoop() {
     data::Dataset Work;
     Work.reserve(Cfg.MaxBatch);
     bool ByDeadline = false;
-    std::string BatchTenant;   // Fleet mode: the batch's single tenant.
-    bool TenantChosen = false; // Set by the first live pick (fleet mode).
+    TenantQueue *Q = nullptr; // The batch's single tenant.
     {
       std::unique_lock<std::mutex> Lock(Mutex);
-      NotEmpty.wait(Lock,
-                    [&] { return Stopping || (Started && !Queue.empty()); });
-      if (Stopping && (Queue.empty() || !Started))
+      NotEmpty.wait(Lock, [&] { return Stopping || (Started && Queued > 0); });
+      if (Stopping && (Queued == 0 || !Started))
         return; // Drained (or never started: shutdown() sheds the queue).
 
+      // The round rule of the file comment fixes the batch's tenant;
+      // the rest of the batch comes off that tenant's queue front, so a
+      // batch holds exactly one tenant in per-tenant FIFO order — the
+      // grouping that makes shared-service verdicts bit-identical to a
+      // dedicated service. While another tenant waits in the round, the
+      // batch stops at the round's end.
+      bool OthersInRound = false;
+      Q = pickTenantLocked(OthersInRound);
+      const uint64_t Cap =
+          OthersInRound ? RoundEnd : std::numeric_limits<uint64_t>::max();
+      auto CanTake = [&] {
+        return !Q->Requests.empty() && Q->Requests.front().Seq <= Cap;
+      };
       // Requests move straight from the queue into the engine Dataset;
       // only the promise is kept aside. Expiry is re-checked here, at
       // pick time: a request that waited out its deadline in the queue
       // is shed in O(1) instead of spending engine time on an answer
       // nobody is waiting for. The batch's flush deadline runs from its
-      // first (oldest) live request.
-      //
-      // Fleet mode: the first live pick fixes the batch's tenant, and
-      // every later pick takes only that tenant's oldest queued request
-      // (skipped requests stay queued in order, so per-tenant FIFO is
-      // preserved and a batch holds exactly one tenant — the grouping
-      // that makes shared-service verdicts bit-identical to a dedicated
-      // service).
+      // first (oldest) pick.
       auto TakeNext = [&]() -> bool {
-        auto It = Queue.begin();
-        if (Fleet && TenantChosen)
-          while (It != Queue.end() && It->Tenant != BatchTenant)
-            ++It;
-        if (It == Queue.end())
+        if (!CanTake())
           return false;
-        Request Req = std::move(*It);
-        Queue.erase(It);
+        Request Req = std::move(Q->Requests.front());
+        Q->Requests.pop_front();
+        --Queued;
         if (Req.expired(Clock::now())) {
           ++Stats.ShedExpired;
-          countShedLocked(Req);
+          countShedLocked(Q->Tenant);
           Expired.push_back(std::move(Req));
           return true;
-        }
-        if (Fleet && !TenantChosen) {
-          BatchTenant = Req.Tenant;
-          TenantChosen = true;
         }
         SubmitTimes.push_back(Req.SubmittedAt);
         Work.add(std::move(Req.S));
         Promises.push_back(std::move(Req.P));
         return true;
-      };
-      // A queued request the current batch can still take: any request
-      // until the tenant is fixed, then only the batch tenant's.
-      auto HasCandidate = [&]() -> bool {
-        if (!Fleet || !TenantChosen)
-          return !Queue.empty();
-        for (const Request &Req : Queue)
-          if (Req.Tenant == BatchTenant)
-            return true;
-        return false;
       };
       TakeNext();
       auto Deadline = std::chrono::steady_clock::now() + Cfg.FlushDeadline;
@@ -373,12 +447,14 @@ void AssessmentService::batcherLoop() {
           continue;
         if (Promises.empty())
           break; // Every pick so far expired; nothing to flush for.
-        if (Stopping) {
-          ByDeadline = true; // Drain flush: take what we have, now.
+        if (Stopping || OthersInRound) {
+          // Drain flush, or the tenant's share of the round is used up
+          // (later arrivals are past the round): take what we have, now.
+          ByDeadline = true;
           break;
         }
         if (NotEmpty.wait_until(Lock, Deadline,
-                                [&] { return Stopping || HasCandidate(); }))
+                                [&] { return Stopping || CanTake(); }))
           continue;
         ByDeadline = true; // Deadline expired with a short batch.
         break;
@@ -390,7 +466,7 @@ void AssessmentService::batcherLoop() {
           ++Stats.DeadlineFlushes;
         else
           ++Stats.SizeFlushes;
-      } else if (Queue.empty() && InFlight == 0) {
+      } else if (Queued == 0 && InFlight == 0) {
         // An expired-only pick emptied the queue without forming a
         // batch; drain() waiters must still wake.
         Idle.notify_all();
@@ -412,7 +488,8 @@ void AssessmentService::batcherLoop() {
     // fleet mode the batch's tenant is pinned for the duration (lazily
     // reloading it if it was evicted); a tenant that cannot be resolved
     // fails the whole batch — each request individually — with
-    // UnknownTenant.
+    // UnknownTenant. The tag is immutable once its queue exists.
+    const std::string &BatchTenant = Q->Tenant;
     const PromClassifier *BatchEngine = Engine;
     WindowedDriftMonitor *BatchMonitor = Monitor;
     DetectorRegistry::Lease Lease;
@@ -424,9 +501,9 @@ void AssessmentService::batcherLoop() {
               std::make_exception_ptr(ShedError(ShedReason::UnknownTenant)));
         std::lock_guard<std::mutex> Lock(Mutex);
         Stats.ShedUnknownTenant += Promises.size();
-        Stats.Tenants[BatchTenant].Shed += Promises.size();
+        countShedLocked(BatchTenant, Promises.size());
         --InFlight;
-        if (Queue.empty() && InFlight == 0)
+        if (Queued == 0 && InFlight == 0)
           Idle.notify_all();
         continue;
       }
@@ -476,7 +553,7 @@ void AssessmentService::batcherLoop() {
         ++TS.Batches;
       }
       --InFlight;
-      if (Queue.empty() && InFlight == 0)
+      if (Queued == 0 && InFlight == 0)
         Idle.notify_all();
     }
   }
@@ -484,7 +561,7 @@ void AssessmentService::batcherLoop() {
 
 void AssessmentService::drain() {
   std::unique_lock<std::mutex> Lock(Mutex);
-  Idle.wait(Lock, [&] { return Queue.empty() && InFlight == 0; });
+  Idle.wait(Lock, [&] { return Queued == 0 && InFlight == 0; });
 }
 
 void AssessmentService::shutdown() {
@@ -492,19 +569,26 @@ void AssessmentService::shutdown() {
   // racing the destructor): the join/clear phase below runs outside
   // Mutex, so without this two callers could join the same threads.
   std::lock_guard<std::mutex> ShutdownLock(ShutdownMutex);
-  std::deque<Request> Orphans;
+  std::vector<Request> Orphans;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (Stopping && Batchers.empty() && Queue.empty())
+    if (Stopping && Batchers.empty() && Queued == 0)
       return;
     Stopping = true;
     // A StartPaused service that was never start()ed must not begin
     // assessing during teardown; shed its pending requests instead.
     if (!Started) {
-      Stats.ShedShutdown += Queue.size();
-      for (const Request &Req : Queue)
-        countShedLocked(Req);
-      Orphans.swap(Queue);
+      Stats.ShedShutdown += Queued;
+      for (auto &KV : Queues) {
+        std::deque<Request> &Q = KV.second.Requests;
+        if (Q.empty())
+          continue;
+        countShedLocked(KV.second.Tenant, Q.size());
+        for (Request &Req : Q)
+          Orphans.push_back(std::move(Req));
+        Q.clear();
+      }
+      Queued = 0;
     }
   }
   NotEmpty.notify_all();
@@ -523,7 +607,7 @@ void AssessmentService::shutdown() {
 
 size_t AssessmentService::queueDepth() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Queue.size();
+  return Queued;
 }
 
 ServiceStats AssessmentService::stats() const {

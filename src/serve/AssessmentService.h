@@ -34,17 +34,46 @@
 /// loop.
 ///
 /// Fleet mode: constructed over a DetectorRegistry instead of one
-/// engine, the service serves every registered tenant through one queue
-/// and one batcher pool. Requests carry a tenant id, and the
-/// micro-batcher groups per tenant — a batch holds requests of exactly
-/// one tenant and is assessed under an acquire() lease, so the tenant
-/// cannot be evicted mid-batch and per-tenant FIFO order is preserved.
-/// Because each batch hits exactly one detector and batched assessment
-/// is element-wise bit-identical to serial assessment, a tenant's
-/// verdicts through the shared service are bit-identical to a dedicated
-/// single-tenant service over the same detector (FleetTest enforces
-/// this, including across an evict -> reload cycle). Stats gain
-/// per-tenant splits alongside the fleet-wide counters.
+/// engine, the service serves every registered tenant through one
+/// batcher pool. Requests carry a tenant id, and a batch holds requests
+/// of exactly one tenant, assessed under an acquire() lease, so the
+/// tenant cannot be evicted mid-batch. Because each batch hits exactly
+/// one detector and batched assessment is element-wise bit-identical to
+/// serial assessment, a tenant's verdicts through the shared service are
+/// bit-identical to a dedicated single-tenant service over the same
+/// detector (FleetTest enforces this, including across an evict ->
+/// reload cycle). Stats gain per-tenant splits alongside the fleet-wide
+/// counters.
+///
+/// Queue and pick rule (one code path; single-tenant mode is the
+/// one-tenant case). Each tenant has its own FIFO queue, and every
+/// admitted request takes the next admission sequence number; capacity,
+/// queueDepth(), eviction, drain and shutdown count across all queues. A
+/// *round* is the set of requests queued when it begins. A batcher picks
+/// its batch's tenant within the current round: the resident tenant
+/// (detector loaded) with the oldest queued request, or, only when no
+/// resident tenant has a request left in the round, the cold tenant with
+/// the oldest one. When the round is used up, a new one begins over
+/// everything queued at that moment. The rest of the batch is popped
+/// from the picked tenant's queue front — requests of later rounds too,
+/// unless another tenant still waits in the round, in which case the
+/// batch stops at the round's end. So a cold tenant costs one load per
+/// round instead of one per interleaved batch, and a request waits at
+/// most until the round after the one running when it arrived: the
+/// round is the starvation bound, with no extra knob. A pick costs
+/// O(tenants + batch), and a batcher waiting to fill a batch watches
+/// only its tenant's queue.
+///
+/// Residency is read without the registry mutex, which a cold load holds
+/// for milliseconds: each tenant queue keeps the address of the
+/// registry's atomic per-tenant resident flag
+/// (DetectorRegistry::residencyFlag), resolved once, with the service
+/// mutex dropped, when the tag is first seen. The service never takes the
+/// registry mutex while it holds its own.
+///
+/// Input contract: a sample with a NaN or infinite feature fails closed —
+/// its future fails with ShedError{InvalidInput} before it reaches the
+/// queue, so it is never batched and never answered with a verdict.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +84,7 @@
 #include "serve/DetectorRegistry.h"
 #include "serve/WindowedDriftMonitor.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -65,6 +95,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 /// \namespace prom::serve
@@ -96,6 +127,7 @@ enum class ShedReason {
   DeadlineExpired, ///< The request's deadline passed before assessment.
   Shutdown,        ///< The service was shut down.
   UnknownTenant,   ///< Fleet mode: the tenant is unregistered or unloadable.
+  InvalidInput,    ///< A feature is NaN or infinite; never assessed.
 };
 
 /// The failure a shed request's future resolves with. Derives from
@@ -179,9 +211,13 @@ struct ServiceStats {
   uint64_t ShedShutdown = 0;  ///< Failed because the service was shut down.
   /// Fleet mode: shed because the tenant tag matched no loadable tenant.
   uint64_t ShedUnknownTenant = 0;
+  /// Shed at admission: a feature was NaN or infinite (fail closed).
+  uint64_t ShedInvalidInput = 0;
   uint64_t Batches = 0;       ///< Micro-batches that assessed >=1 request.
   uint64_t SizeFlushes = 0;   ///< Batches flushed by reaching MaxBatch.
-  uint64_t DeadlineFlushes = 0; ///< Batches flushed by deadline or drain.
+  /// Short batches: flushed by deadline, by drain, or at the end of the
+  /// round while another tenant still waits in it.
+  uint64_t DeadlineFlushes = 0;
   /// Submit-to-verdict latency of completed requests (shed requests are
   /// not latency observations — they are counted above).
   LatencyHistogram Latency;
@@ -192,7 +228,8 @@ struct ServiceStats {
 
   /// Requests shed for any reason.
   uint64_t shedTotal() const {
-    return ShedQueueFull + ShedExpired + ShedShutdown + ShedUnknownTenant;
+    return ShedQueueFull + ShedExpired + ShedShutdown + ShedUnknownTenant +
+           ShedInvalidInput;
   }
 
   /// Completed (answered-with-a-verdict) requests per assessed batch;
@@ -227,7 +264,7 @@ public:
                              WindowedDriftMonitor *Monitor = nullptr);
 
   /// Fleet mode: spawns the batcher threads over \p Fleet, serving every
-  /// registered tenant through one queue (see the file comment). Submit
+  /// registered tenant through one batcher pool (see the file comment). Submit
   /// through the tenant-tagged overloads; untagged submits are shed with
   /// ShedError{UnknownTenant} at batch pick. Each tenant's own drift
   /// monitor (enableRecalibration) is folded on the batcher threads. The
@@ -257,11 +294,12 @@ public:
   /// Non-blocking submit; returns false (leaving \p Out untouched) when
   /// the queue is full or the service is shut down. Never sheds queued
   /// requests (even under DeadlineAware) — it is the polling-style
-  /// admission probe.
+  /// admission probe. A sample with a non-finite feature is not queued:
+  /// \p Out then holds a future failed with ShedError{InvalidInput}.
   bool trySubmit(data::Sample S, std::future<Verdict> &Out);
 
-  /// Fleet mode: submit() tagged with \p Tenant. The request rides the
-  /// shared queue but is batched only with other \p Tenant requests and
+  /// Fleet mode: submit() tagged with \p Tenant. The request joins the
+  /// tenant's FIFO queue, is batched only with other \p Tenant requests and
   /// assessed by that tenant's detector (lazily loaded under the lease
   /// if evicted). An unknown or unloadable tenant fails the future with
   /// ShedError{UnknownTenant} at batch pick.
@@ -288,7 +326,8 @@ public:
   /// concurrent shutdown()/drain() callers.
   void shutdown();
 
-  /// Requests currently queued (not yet picked into a batch).
+  /// Requests currently queued across all tenant queues (not yet picked
+  /// into a batch).
   size_t queueDepth() const;
 
   ServiceStats stats() const; ///< Consistent counter snapshot.
@@ -297,14 +336,30 @@ public:
 private:
   struct Request {
     data::Sample S;
-    std::string Tenant; ///< Fleet routing tag ("" in single-tenant mode).
     std::promise<Verdict> P;
     Clock::time_point SubmittedAt;
     Clock::time_point Deadline;
+    uint64_t Seq = 0; ///< Admission sequence number (from 1).
     bool HasDeadline = false;
 
     bool expired(Clock::time_point Now) const {
       return HasDeadline && Deadline <= Now;
+    }
+  };
+
+  /// One tenant's FIFO of queued requests (the only queue in
+  /// single-tenant mode).
+  struct TenantQueue {
+    std::string Tenant; ///< The tag ("" in single-tenant mode).
+    std::deque<Request> Requests;
+    /// The registry's resident flag for this tenant (always true in
+    /// single-tenant mode; null while the registry does not know the tag,
+    /// which then counts as cold).
+    const std::atomic<bool> *Resident = nullptr;
+
+    bool resident() const {
+      // A hint: a stale read only changes which tenant goes first.
+      return Resident && Resident->load();
     }
   };
 
@@ -316,16 +371,33 @@ private:
   bool trySubmitImpl(std::string Tenant, data::Sample S,
                      std::future<Verdict> &Out);
 
-  /// Counts one shed request against its tenant split (fleet mode only;
-  /// caller holds Mutex).
-  void countShedLocked(const Request &Req);
+  /// The queue for \p Tenant, created on first sight. In fleet mode an
+  /// unresolved residency flag is looked up with \p Lock (on Mutex)
+  /// dropped around the registry call, so callers must re-check any state
+  /// read before.
+  TenantQueue &queueLocked(const std::string &Tenant,
+                           std::unique_lock<std::mutex> &Lock);
+
+  /// Appends \p Req to \p Q under the next sequence number and counts it
+  /// as submitted (caller holds Mutex).
+  void enqueueLocked(TenantQueue &Q, Request Req);
+
+  /// The tenant queue the next batch drains, by the round rule of the
+  /// file comment; sets \p OthersInRound when another tenant also has a
+  /// request in the current round. Caller holds Mutex; Queued > 0.
+  TenantQueue *pickTenantLocked(bool &OthersInRound);
+
+  /// Counts \p N shed requests against \p Tenant's split (fleet mode
+  /// only; caller holds Mutex).
+  void countShedLocked(const std::string &Tenant, uint64_t N = 1);
 
   /// Fails \p Req's promise with ShedError(\p Reason). Called outside
   /// Mutex (set_exception wakes waiters synchronously).
   static void shed(Request &Req, ShedReason Reason);
 
-  /// Evicts expired requests from the queue into \p Out; caller holds
-  /// Mutex and sheds them after unlocking. Counts them as ShedExpired.
+  /// Evicts expired requests from every tenant queue into \p Out; caller
+  /// holds Mutex and sheds them after unlocking. Counts them as
+  /// ShedExpired.
   void evictExpiredLocked(Clock::time_point Now, std::vector<Request> &Out);
 
   void batcherLoop();
@@ -343,7 +415,12 @@ private:
   std::condition_variable NotEmpty;
   std::condition_variable NotFull;
   std::condition_variable Idle;
-  std::deque<Request> Queue;
+  /// Per-tenant queues keyed by tenant tag (one "" queue in single-tenant
+  /// mode). Never erased, so batchers hold references across waits.
+  std::unordered_map<std::string, TenantQueue> Queues;
+  size_t Queued = 0;    ///< Requests across all tenant queues.
+  uint64_t LastSeq = 0; ///< Sequence number of the latest admission.
+  uint64_t RoundEnd = 0; ///< The current round holds Seq <= RoundEnd.
   size_t InFlight = 0; ///< Batches picked but not yet answered.
   bool Started = true; ///< False while a StartPaused service is parked.
   bool Stopping = false;

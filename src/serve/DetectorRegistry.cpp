@@ -16,10 +16,15 @@ using namespace prom::serve;
 
 /// A tenant slot. Lifecycle state (Engine/Monitor/Controller, pins, LRU
 /// stamp) is guarded by the registry mutex; entries never move once
-/// created, so leases can hold shared_ptrs across lock releases.
+/// created, so leases can hold shared_ptrs across lock releases and
+/// residencyFlag() can hand out the address of Resident.
 struct DetectorRegistry::Entry {
   std::string Id;
   TenantSpec Spec;
+
+  /// Mirrors `Engine != nullptr`; written under the registry mutex
+  /// wherever Engine is set or reset, read lock-free by schedulers.
+  std::atomic<bool> Resident{false};
 
   // Loaded state (all null/zero while cold). Destruction order on
   // unload: Controller first (joins its worker and unsubscribes from
@@ -126,6 +131,7 @@ bool DetectorRegistry::installDetector(
     return false;
   Entry &E = *It->second;
   E.Engine = std::move(Detector);
+  E.Resident.store(true);
   remeasureLocked(E);
   armRecalibrationLocked(E);
   E.LastUsed = ++LruClock;
@@ -213,6 +219,13 @@ bool DetectorRegistry::isLoaded(const std::string &Id) const {
   return It != Tenants.end() && It->second->Engine != nullptr;
 }
 
+const std::atomic<bool> *
+DetectorRegistry::residencyFlag(const std::string &Id) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Tenants.find(Id);
+  return It == Tenants.end() ? nullptr : &It->second->Resident;
+}
+
 std::vector<std::string> DetectorRegistry::tenants() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<std::string> Ids;
@@ -255,6 +268,7 @@ bool DetectorRegistry::loadLocked(Entry &E) {
   if (!Engine->loadSnapshot(Path))
     return false;
   E.Engine = std::move(Engine);
+  E.Resident.store(true);
   remeasureLocked(E);
   armRecalibrationLocked(E);
   return true;
@@ -286,6 +300,7 @@ void DetectorRegistry::unloadLocked(Entry &E) {
   E.Controller.reset();
   E.Monitor.reset();
   E.Engine.reset();
+  E.Resident.store(false);
   E.MemBytes = 0;
 }
 

@@ -38,6 +38,7 @@
 #include "serve/RecalibrationController.h"
 #include "serve/WindowedDriftMonitor.h"
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -186,6 +187,16 @@ public:
 
   /// True while tenant \p Id's detector is in memory.
   bool isLoaded(const std::string &Id) const;
+
+  /// The address of tenant \p Id's resident flag (null for an unknown
+  /// id): true while its detector is in memory, written under the
+  /// registry mutex by install, load and unload. Tenants are never
+  /// removed and never move, so the address stays valid for the
+  /// registry's lifetime and the flag can be read without the registry
+  /// mutex, which a cold load holds for milliseconds. The read is a
+  /// scheduling hint (the tenant may load or unload right after it);
+  /// acquire() stays the authority.
+  const std::atomic<bool> *residencyFlag(const std::string &Id) const;
 
   /// Registered tenant ids, ascending.
   std::vector<std::string> tenants() const;

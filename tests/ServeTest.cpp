@@ -8,7 +8,8 @@
 // verdict served through the queue + micro-batcher is bit-identical to a
 // direct assessBatch() verdict for the same sample. Also covers deadline
 // flushes of short batches, concurrent submitters, drain/shutdown
-// semantics, and the WindowedDriftMonitor's sliding-window counters and
+// semantics, fail-closed admission of non-finite samples, and the
+// WindowedDriftMonitor's sliding-window counters and
 // rising-edge recalibration alerts.
 //
 //===----------------------------------------------------------------------===//
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 using namespace prom;
@@ -333,6 +335,50 @@ TEST(ServeTest, ExpiredRequestsAreShedAtBatchPick) {
       Svc.submitWithDeadline(F.Test[0], std::chrono::microseconds(0));
   EXPECT_THROW(Immediate.get(), ShedError);
   EXPECT_EQ(Svc.stats().ShedExpired, 5u);
+}
+
+TEST(ServeTest, NonFiniteFeaturesFailClosedWithInvalidInput) {
+  EngineFixture &F = fixture();
+  ServiceConfig Cfg;
+  Cfg.StartPaused = true;
+  AssessmentService Svc(*F.Prom, Cfg);
+
+  // Rejected before the queue: nothing is staged for them, and each entry
+  // point fails the future the same way.
+  const double Bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  std::vector<std::future<Verdict>> Rejected;
+  for (double V : Bad) {
+    data::Sample S = F.Test[0];
+    S.Features[0] = V;
+    Rejected.push_back(Svc.submit(S));
+    Rejected.push_back(
+        Svc.submitWithDeadline(S, std::chrono::seconds(10)));
+    std::future<Verdict> Out;
+    ASSERT_TRUE(Svc.trySubmit(S, Out));
+    Rejected.push_back(std::move(Out));
+  }
+  EXPECT_EQ(Svc.queueDepth(), 0u);
+  for (auto &Fut : Rejected) {
+    try {
+      Fut.get();
+      FAIL() << "a non-finite sample must never be answered";
+    } catch (const ShedError &E) {
+      EXPECT_EQ(E.reason(), ShedReason::InvalidInput);
+    }
+  }
+
+  std::future<Verdict> Good = Svc.submit(F.Test[0]);
+  Svc.start();
+  expectSameVerdict(F.Prom->assess(F.Test[0]), Good.get(), 0);
+  Svc.drain();
+  ServiceStats Stats = Svc.stats();
+  EXPECT_EQ(Stats.ShedInvalidInput, 9u);
+  EXPECT_EQ(Stats.shedTotal(), 9u);
+  EXPECT_EQ(Stats.Submitted, 1u);
+  EXPECT_EQ(Stats.Completed, 1u);
+  EXPECT_TRUE(Stats.Tenants.empty()); // No per-tenant split here.
 }
 
 TEST(ServeTest, ServedVerdictsBitIdenticalUnderOverload) {
